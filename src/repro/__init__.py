@@ -9,9 +9,9 @@ A complete, from-scratch reproduction of
 Subpackages
 -----------
 ``repro.fuzzy``
-    TSK/Mamdani fuzzy inference, membership functions, norms.
+    TSK fuzzy inference, its numpy kernels, Gaussian membership functions.
 ``repro.clustering``
-    Subtractive, mountain and fuzzy c-means clustering.
+    Subtractive and mountain clustering.
 ``repro.anfis``
     ANFIS hybrid learning (LSE forward pass + gradient backward pass).
 ``repro.stats``

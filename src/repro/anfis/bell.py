@@ -27,11 +27,11 @@ from typing import List, Optional
 import numpy as np
 
 from ..exceptions import ConfigurationError, DimensionError, TrainingError
+from ..fuzzy.kernels import WEIGHT_FLOOR
 from .lse import fit_consequents
 
 #: Guards against division blow-ups at rule centers and dead inputs.
 _MF_FLOOR = 1e-12
-_WEIGHT_FLOOR = 1e-300
 #: Slope parameters are kept at or above this so the gradients stay
 #: defined (b < 1 makes dF/dc singular at the center).
 _MIN_B = 1.0
@@ -115,7 +115,7 @@ class BellTSKSystem:
     def normalized_firing_strengths(self, x: np.ndarray) -> np.ndarray:
         w = self.firing_strengths(x)
         total = np.sum(w, axis=1, keepdims=True)
-        dead = total <= _WEIGHT_FLOOR
+        dead = total <= WEIGHT_FLOOR
         wbar = w / np.where(dead, 1.0, total)
         if np.any(dead):
             wbar = np.where(dead, 1.0 / self.n_rules, wbar)
@@ -195,7 +195,7 @@ def bell_premise_gradients(system: BellTSKSystem, x: np.ndarray,
     memberships = system.memberships(x)                  # (N, m, d)
     w = np.prod(memberships, axis=2)                     # (N, m)
     f = system.rule_outputs(x)                           # (N, m)
-    total = np.maximum(np.sum(w, axis=1), _WEIGHT_FLOOR)
+    total = np.maximum(np.sum(w, axis=1), WEIGHT_FLOOR)
     s = np.sum(w * f, axis=1) / total
     err = s - y
     dl_dw = (err / total)[:, None] * (f - s[:, None])    # (N, m)

@@ -14,8 +14,8 @@ identity of the premise arrays themselves (so rebinding
 ``system.means`` — e.g. restoring a best-epoch snapshot — also
 invalidates).  A hit returns the *same* arrays the previous computation
 produced, which is why the cached training path is bit-identical to the
-uncached one per backend; a miss recomputes through the active
-backend's :meth:`~repro.backend.base.ArrayBackend.firing_strengths`.
+uncached one; a miss recomputes through
+:func:`repro.fuzzy.kernels.firing_strengths`.
 
 The consequent side (``f``, system output) is *not* cached: it depends
 on the coefficients, which change twice per epoch, and costs one einsum
@@ -27,6 +27,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+
+from ..fuzzy import kernels
 
 
 class ForwardCache:
@@ -47,7 +49,6 @@ class ForwardCache:
     def __init__(self, system, x: np.ndarray) -> None:
         self._system = system
         self._x = x
-        self._backend_name: Optional[str] = None
         self._version: Optional[int] = None
         self._means_ref: Optional[np.ndarray] = None
         self._sigmas_ref: Optional[np.ndarray] = None
@@ -62,24 +63,19 @@ class ForwardCache:
         """True when this cache is bound to exactly this pair."""
         return system is self._system and x is self._x
 
-    def _stale(self, backend) -> bool:
+    def _stale(self) -> bool:
         system = self._system
         return (self._version != system.premise_version
-                or self._backend_name != backend.name
                 or self._means_ref is not system.means
                 or self._sigmas_ref is not system.sigmas)
 
     def firing(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(w, wbar, total)`` for the bound pair, recomputing if stale."""
-        from . import get_backend
-
-        backend = get_backend()
-        if self._stale(backend):
+        if self._stale():
             system = self._system
-            self._w, self._wbar, self._total = backend.firing_strengths(
+            self._w, self._wbar, self._total = kernels.firing_strengths(
                 self._x, system.means, system.sigmas)
             self._version = system.premise_version
-            self._backend_name = backend.name
             self._means_ref = system.means
             self._sigmas_ref = system.sigmas
             self.misses += 1

@@ -28,11 +28,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend import ForwardCache, get_backend
 from ..exceptions import DimensionError
+from ..fuzzy import kernels
 from ..fuzzy.tsk import TSKSystem
-
-_WEIGHT_FLOOR = 1e-300
+from .cache import ForwardCache
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,9 +48,9 @@ def premise_gradients(system: TSKSystem, x: np.ndarray, y: np.ndarray,
                       ) -> PremiseGradients:
     """Gradient of ``0.5 * mean((S(x) - y)^2)`` w.r.t. means and sigmas.
 
-    Vectorized across samples, rules *and* inputs through the active
-    backend's :meth:`~repro.backend.base.ArrayBackend.premise_gradient_terms`
-    kernel (the naive per-rule loop survives as the oracle — see
+    Vectorized across samples, rules *and* inputs through
+    :func:`repro.fuzzy.kernels.premise_gradient_terms` (the naive
+    per-rule loop survives as the oracle — see
     :func:`numeric_premise_gradients` and
     ``repro.verify.reference.premise_gradients_loop``).
 
@@ -65,7 +64,7 @@ def premise_gradients(system: TSKSystem, x: np.ndarray, y: np.ndarray,
         Designated outputs of shape ``(n_samples,)`` — 1 for a right and 0
         for a wrong contextual classification in the quality use case.
     cache:
-        Optional :class:`~repro.backend.ForwardCache` bound to
+        Optional :class:`~repro.anfis.cache.ForwardCache` bound to
         ``(system, x)``; when supplied (the hybrid trainer does), the
         premise-side firing sweep is reused instead of recomputed —
         bit-identically, since a cache hit returns the same arrays.
@@ -79,17 +78,16 @@ def premise_gradients(system: TSKSystem, x: np.ndarray, y: np.ndarray,
         raise DimensionError(
             f"y must have {x.shape[0]} entries, got {y.shape[0]}")
 
-    backend = get_backend()
     if cache is not None and cache.matches(system, x):
         w, _, total = cache.firing()
-        f = backend.rule_consequents(x, system.coefficients, system.order)
+        f = kernels.rule_consequents(x, system.coefficients, system.order)
     else:
         # Fused forward pass: one membership evaluation instead of the
         # two separate (and separately validated) weight + consequent
         # passes.
         comps = system.evaluate_components(x, validate=False)
         w, f, total = comps.w, comps.f, comps.total
-    d_means, d_sigmas, loss = backend.premise_gradient_terms(
+    d_means, d_sigmas, loss = kernels.premise_gradient_terms(
         x, system.means, system.sigmas, w, f, total, y)
     return PremiseGradients(d_means=d_means, d_sigmas=d_sigmas, loss=loss)
 

@@ -19,9 +19,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import observability as obs
-from ..backend import ForwardCache, get_backend
 from ..exceptions import DimensionError, TrainingError
+from ..fuzzy import kernels
 from ..fuzzy.tsk import TSKSystem
+from .cache import ForwardCache
 
 
 def design_matrix(system: TSKSystem, x: np.ndarray,
@@ -36,7 +37,7 @@ def design_matrix(system: TSKSystem, x: np.ndarray,
     ``design @ vec(coefficients) = predictions``.  For zero-order systems
     only the per-rule constant columns are produced.
 
-    When a :class:`~repro.backend.ForwardCache` bound to ``(system, x)``
+    When a :class:`~repro.anfis.cache.ForwardCache` bound to ``(system, x)``
     is supplied, the normalized firing strengths are reused from it
     instead of recomputed (bit-identically on a hit).  The uncached path
     stays polymorphic over ``system.normalized_firing_strengths`` so
@@ -50,7 +51,7 @@ def design_matrix(system: TSKSystem, x: np.ndarray,
         _, wbar, _ = cache.firing()
     else:
         wbar = system.normalized_firing_strengths(x)  # (N, m)
-    return get_backend().consequent_design_matrix(x, wbar, system.order)
+    return kernels.consequent_design_matrix(x, wbar, system.order)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +79,7 @@ def fit_consequents(system: TSKSystem, x: np.ndarray, y: np.ndarray,
     ``system.coefficients``) and solve diagnostics.  The *system* is not
     modified; assign the result to ``system.coefficients`` to apply it.
     The design matrix's firing sweep can be served from a
-    :class:`~repro.backend.ForwardCache` (see :func:`design_matrix`);
+    :class:`~repro.anfis.cache.ForwardCache` (see :func:`design_matrix`);
     the SVD solve itself is identical either way.
     """
     y = np.asarray(y, dtype=float).ravel()

@@ -26,9 +26,10 @@ from typing import List, Optional
 import numpy as np
 
 from .. import observability as obs
-from ..backend import ForwardCache, get_backend
 from ..exceptions import ConfigurationError, TrainingError
+from ..fuzzy import kernels
 from ..fuzzy.tsk import TSKSystem
+from .cache import ForwardCache
 from .gradient import apply_gradient_step, premise_gradients
 from .lse import fit_consequents
 
@@ -66,12 +67,11 @@ def _rmse(system: TSKSystem, x: np.ndarray, y: np.ndarray,
     # Single fused forward pass (one validation, one membership sweep);
     # with a matching cache the membership sweep is served from it and
     # only the consequent einsum runs.  The cached expression is the
-    # same op sequence the backend's tsk_forward_components performs,
-    # so both paths produce identical bits per backend.
+    # same op sequence kernels.tsk_forward_components performs, so both
+    # paths produce identical bits.
     if cache is not None and cache.matches(system, x):
         _, wbar, _ = cache.firing()
-        f = get_backend().rule_consequents(x, system.coefficients,
-                                           system.order)
+        f = kernels.rule_consequents(x, system.coefficients, system.order)
         err = np.sum(wbar * f, axis=1) - y
     else:
         err = system.evaluate_components(x).output - y
@@ -99,7 +99,7 @@ class HybridTrainer:
     use_cache:
         Reuse the premise-side firing sweep across the three per-epoch
         consumers (gradients, LSE design matrix, train RMSE) via a
-        :class:`~repro.backend.ForwardCache`.  On by default; the cached
+        :class:`~repro.anfis.cache.ForwardCache`.  On by default; the cached
         run is bit-identical to the uncached one because cache hits
         return the very arrays the first computation produced.
     """

@@ -65,13 +65,6 @@ scenarios, ``scenario validate`` schema-checks them (or a YAML file via
 ``--file``), ``scenario run`` executes one on the in-process bus or the
 broker (``--bus broker``), and ``scenario record`` writes per-scenario
 golden traces.
-
-Every command additionally accepts the global flag
-``--backend {numpy,fused,numba}`` (anywhere on the line), selecting the
-numeric backend for the TSK/ANFIS kernels; it overrides the
-``REPRO_BACKEND`` environment variable.  Under a non-default backend
-``verify`` applies the per-backend tolerance table and skips the
-bit-identity golden gate.
 """
 
 from __future__ import annotations
@@ -569,7 +562,6 @@ def _run_traced(argv: List[str]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .backend import get_backend
     from .exceptions import ScenarioError
     from .verify import (DifferentialRunner, check_against_golden,
                          run_fuzz, update_golden)
@@ -579,29 +571,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"golden trace for seed {args.golden_seed} written to {path}")
         return 0
 
-    backend_name = get_backend().name
     stages = [args.stage] if args.stage else None
-    report = DifferentialRunner(seeds=tuple(args.seeds), stages=stages,
-                                backend=backend_name).run()
-    print(f"numeric backend: {backend_name}")
+    report = DifferentialRunner(seeds=tuple(args.seeds), stages=stages).run()
     print(report.to_text())
     ok = report.passed
     if args.stage is None:
-        if backend_name == "numpy":
-            diff = check_against_golden(seed=args.golden_seed)
-            if diff is None:
-                print(f"no golden trace stored for seed "
-                      f"{args.golden_seed}; capture one with "
-                      f"'repro verify --update-golden'")
-            else:
-                print(diff.to_text())
-                ok = ok and diff.passed
+        diff = check_against_golden(seed=args.golden_seed)
+        if diff is None:
+            print(f"no golden trace stored for seed "
+                  f"{args.golden_seed}; capture one with "
+                  f"'repro verify --update-golden'")
         else:
-            # The golden trace pins the *default* backend's bits; other
-            # backends are gated by the (widened) differential
-            # tolerances above, not by bit identity.
-            print(f"golden gate skipped: backend {backend_name!r} does "
-                  f"not claim bit identity (goldens pin 'numpy')")
+            print(diff.to_text())
+            ok = ok and diff.passed
         if args.fuzz_cases > 0:
             corpus = None
             try:
@@ -643,64 +625,14 @@ _COMMANDS = {
 }
 
 
-def _extract_backend(argv: List[str]) -> "tuple[List[str], Optional[str]]":
-    """Split a global ``--backend NAME`` / ``--backend=NAME`` out of *argv*.
-
-    The flag is global (valid before or after the subcommand, including
-    through ``trace``), so it is peeled off before argparse sees the
-    remaining arguments.  Returns ``(argv_without_flag, name_or_None)``;
-    a trailing ``--backend`` with no value maps to the empty string so
-    the caller can report it.
-    """
-    out: List[str] = []
-    backend: Optional[str] = None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--backend":
-            backend = argv[i + 1] if i + 1 < len(argv) else ""
-            i += 2
-        elif arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
-            i += 1
-        else:
-            out.append(arg)
-            i += 1
-    return out, backend
-
-
-def _dispatch(argv: List[str]) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     if argv and argv[0] == "trace":
         return _run_traced(list(argv[1:]))
     args = _build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code.
-
-    ``--backend {numpy,fused,numba}`` selects the numeric backend for
-    the whole invocation and may appear anywhere on the command line; it
-    takes precedence over ``$REPRO_BACKEND``.
-    """
-    from .backend import use_backend
-    from .exceptions import BackendError
-
-    if argv is None:
-        argv = sys.argv[1:]
-    argv, backend = _extract_backend(list(argv))
-    if backend == "":
-        print("--backend expects a name (numpy, fused, numba)",
-              file=sys.stderr)
-        return 2
-    if backend is None:
-        return _dispatch(argv)
-    try:
-        with use_backend(backend):
-            return _dispatch(argv)
-    except BackendError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,19 +1,10 @@
-"""Fuzzy clustering substrate: subtractive (Chiu), mountain, fuzzy c-means."""
+"""Fuzzy clustering substrate: subtractive (Chiu) and mountain clustering."""
 
-from .fcm import FCMResult, FuzzyCMeans
-from .gk import GKResult, GustafsonKessel
 from .mountain import MountainClustering, MountainClusteringResult
 from .subtractive import (SubtractiveClustering, SubtractiveClusteringResult,
                           subclust)
-from .validation import (assign_nearest, davies_bouldin,
-                         partition_coefficient, partition_entropy,
-                         within_cluster_scatter)
 
 __all__ = [
     "SubtractiveClustering", "SubtractiveClusteringResult", "subclust",
     "MountainClustering", "MountainClusteringResult",
-    "FuzzyCMeans", "FCMResult",
-    "GustafsonKessel", "GKResult",
-    "assign_nearest", "within_cluster_scatter", "davies_bouldin",
-    "partition_coefficient", "partition_entropy",
 ]

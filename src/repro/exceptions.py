@@ -40,16 +40,6 @@ class ServiceClosedError(ReproError):
     (or was never started); the request was not admitted."""
 
 
-class BackendError(ConfigurationError):
-    """An unknown or unusable numeric backend was requested.
-
-    Subclasses :class:`ConfigurationError` (and therefore
-    :class:`ReproError`) so a typo in ``$REPRO_BACKEND`` or
-    ``--backend`` fails loudly instead of silently computing on the
-    default backend.
-    """
-
-
 class ScenarioError(ConfigurationError):
     """A declarative scenario spec failed schema validation.
 

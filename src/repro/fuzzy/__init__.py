@@ -1,33 +1,18 @@
-"""Fuzzy-logic substrate: membership functions, norms, TSK and Mamdani FIS.
+"""Fuzzy-logic substrate: Gaussian membership functions and the TSK FIS.
 
 The TSK system (:class:`repro.fuzzy.TSKSystem`) is the engine behind both
-the AwarePen context classifier and the paper's quality system.
+the AwarePen context classifier and the paper's quality system; its array
+kernels live in :mod:`repro.fuzzy.kernels`.
 """
 
-from .defuzz import (bisector, centroid, get_defuzzifier, largest_of_maximum,
-                     mean_of_maximum, smallest_of_maximum)
-from .hedges import HEDGES, HedgedMF, apply_hedge, power_hedge
-from .mamdani import MamdaniRule, MamdaniSystem
-from .membership import (GaussianMF, GeneralizedBellMF, MembershipFunction,
-                         SigmoidMF, TrapezoidalMF, TriangularMF,
+from .membership import (GaussianMF, MembershipFunction,
                          gaussian_sigma_from_radius)
-from .norms import (get_s_norm, get_t_norm, s_max, s_probabilistic, t_min,
-                    t_product)
 from .partition import (grid_membership_centers, grid_partition_fis,
                         grid_rule_count)
-from .sets import FuzzySet, LinguisticVariable
 from .tsk import TSKComponents, TSKRule, TSKSystem
 
 __all__ = [
-    "MembershipFunction", "GaussianMF", "TriangularMF", "TrapezoidalMF",
-    "GeneralizedBellMF", "SigmoidMF", "gaussian_sigma_from_radius",
-    "FuzzySet", "LinguisticVariable",
+    "MembershipFunction", "GaussianMF", "gaussian_sigma_from_radius",
     "TSKRule", "TSKSystem", "TSKComponents",
-    "MamdaniRule", "MamdaniSystem",
-    "t_min", "t_product", "s_max", "s_probabilistic",
-    "get_t_norm", "get_s_norm",
-    "centroid", "bisector", "mean_of_maximum", "smallest_of_maximum",
-    "largest_of_maximum", "get_defuzzifier",
     "grid_partition_fis", "grid_membership_centers", "grid_rule_count",
-    "HEDGES", "apply_hedge", "power_hedge", "HedgedMF",
 ]

@@ -1,4 +1,4 @@
-"""Parametric membership functions.
+"""Gaussian membership functions.
 
 The paper's quality FIS uses non-linear Gaussian membership functions
 (section 2.1.2):
@@ -7,9 +7,9 @@ The paper's quality FIS uses non-linear Gaussian membership functions
 
     F_{ij}(v_i) = e^{-(v_i - \\mu_{ij})^2 / (2 \\sigma_{ij}^2)}
 
-Other standard shapes (triangular, trapezoidal, generalized bell, sigmoid)
-are provided for the Mamdani substrate and for ablations.  All functions are
-vectorized over numpy arrays and return values in ``[0, 1]``.
+:class:`GaussianMF` is the scalar view used for rule inspection; the
+batched form the inference and training paths run is
+:func:`repro.fuzzy.kernels.gaussian_mf_batch`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class MembershipFunction(abc.ABC):
         """Return the parameter dictionary describing this function."""
 
     def support_center(self) -> float:
-        """A representative point of maximal membership (used by defuzzifiers)."""
+        """A representative point of maximal membership."""
         raise NotImplementedError
 
 
@@ -67,113 +67,6 @@ class GaussianMF(MembershipFunction):
 
     def support_center(self) -> float:
         return self.mean
-
-
-@dataclasses.dataclass
-class TriangularMF(MembershipFunction):
-    """Triangular membership function with feet *a*, *c* and peak *b*."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if not (self.a <= self.b <= self.c):
-            raise ConfigurationError(
-                f"TriangularMF requires a <= b <= c, got "
-                f"({self.a}, {self.b}, {self.c})")
-        if self.a == self.c:
-            raise ConfigurationError("TriangularMF must have a < c")
-
-    def __call__(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        left = ((x - self.a) / (self.b - self.a)
-                if self.b > self.a else np.where(x >= self.b, 1.0, 0.0))
-        right = ((self.c - x) / (self.c - self.b)
-                 if self.c > self.b else np.where(x <= self.b, 1.0, 0.0))
-        return np.clip(np.minimum(left, right), 0.0, 1.0)
-
-    def parameters(self) -> Dict[str, float]:
-        return {"a": self.a, "b": self.b, "c": self.c}
-
-    def support_center(self) -> float:
-        return self.b
-
-
-@dataclasses.dataclass
-class TrapezoidalMF(MembershipFunction):
-    """Trapezoidal membership function with corners ``a <= b <= c <= d``."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if not (self.a <= self.b <= self.c <= self.d):
-            raise ConfigurationError(
-                f"TrapezoidalMF requires a <= b <= c <= d, got "
-                f"({self.a}, {self.b}, {self.c}, {self.d})")
-        if self.a == self.d:
-            raise ConfigurationError("TrapezoidalMF must have a < d")
-
-    def __call__(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left = np.where(self.b > self.a, (x - self.a) / max(self.b - self.a, 1e-300), 1.0)
-            right = np.where(self.d > self.c, (self.d - x) / max(self.d - self.c, 1e-300), 1.0)
-        out = np.minimum(np.minimum(left, 1.0), right)
-        return np.clip(out, 0.0, 1.0)
-
-    def parameters(self) -> Dict[str, float]:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
-
-    def support_center(self) -> float:
-        return 0.5 * (self.b + self.c)
-
-
-@dataclasses.dataclass
-class GeneralizedBellMF(MembershipFunction):
-    """Generalized bell ``1 / (1 + |((x - c) / a)|^(2 b))`` (Jang 1993)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ConfigurationError(f"bell width a must be > 0, got {self.a}")
-        if self.b <= 0:
-            raise ConfigurationError(f"bell slope b must be > 0, got {self.b}")
-
-    def __call__(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        return 1.0 / (1.0 + np.abs((x - self.c) / self.a) ** (2.0 * self.b))
-
-    def parameters(self) -> Dict[str, float]:
-        return {"a": self.a, "b": self.b, "c": self.c}
-
-    def support_center(self) -> float:
-        return self.c
-
-
-@dataclasses.dataclass
-class SigmoidMF(MembershipFunction):
-    """Sigmoidal membership ``1 / (1 + exp(-slope (x - center)))``."""
-
-    center: float
-    slope: float
-
-    def __call__(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        return 1.0 / (1.0 + np.exp(-self.slope * (x - self.center)))
-
-    def parameters(self) -> Dict[str, float]:
-        return {"center": self.center, "slope": self.slope}
-
-    def support_center(self) -> float:
-        # Point of membership 1 in the limit; use a finite representative.
-        return self.center
 
 
 def gaussian_sigma_from_radius(radius: float, value_range: float) -> float:

@@ -29,15 +29,9 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..backend import get_backend
 from ..exceptions import ConfigurationError, DimensionError
+from . import kernels
 from .membership import GaussianMF
-
-#: Total firing strengths at or below this are treated as "no rule fires";
-#: normalization then falls back to uniform weights so far-away inputs
-#: degrade gracefully instead of collapsing to zero output.  (Shared
-#: with the backend kernels as ``repro.backend.WEIGHT_FLOOR``.)
-_WEIGHT_FLOOR = 1e-300
 
 
 class TSKComponents(NamedTuple):
@@ -157,7 +151,7 @@ class TSKSystem:
         self.coefficients = coefficients
         self.order = order
         #: Monotonic counter of premise-parameter updates; the
-        #: epoch-level :class:`repro.backend.ForwardCache` keys on it.
+        #: epoch-level :class:`repro.anfis.cache.ForwardCache` keys on it.
         #: In-place mutation of ``means``/``sigmas`` must be followed
         #: by :meth:`touch_premises` (the gradient step does this).
         self.premise_version = 0
@@ -216,35 +210,18 @@ class TSKSystem:
                 f"input must have {self.n_inputs} columns, got shape {x.shape}")
         return x
 
-    def _memberships(self, x: np.ndarray) -> np.ndarray:
-        """Memberships for an already-validated ``(n, n_inputs)`` batch."""
-        return get_backend().gaussian_mf_batch(x, self.means, self.sigmas)
-
-    def _rule_outputs(self, x: np.ndarray) -> np.ndarray:
-        """Consequents for an already-validated ``(n, n_inputs)`` batch.
-
-        Every backend keeps this an einsum (not ``@``) on purpose: BLAS
-        matmul picks shape-dependent kernels (gemv for one row, blocked
-        gemm otherwise), so the same row evaluated in different batch
-        sizes can differ in the last ULP.  einsum's fixed per-element
-        reduction keeps every row's result independent of how it was
-        batched — the invariant the serving layer's micro-batching
-        equivalence rests on.
-        """
-        return get_backend().rule_consequents(x, self.coefficients,
-                                              self.order)
-
     def memberships(self, x: np.ndarray) -> np.ndarray:
         """Per-rule, per-input Gaussian memberships.
 
         Returns an array of shape ``(n_samples, n_rules, n_inputs)``.
         """
-        return self._memberships(self._validate_input(x))
+        return kernels.gaussian_mf_batch(self._validate_input(x),
+                                         self.means, self.sigmas)
 
     def firing_strengths(self, x: np.ndarray) -> np.ndarray:
         """Rule weights ``w_j`` for each sample, shape ``(n_samples, n_rules)``."""
         x = self._validate_input(x)
-        return get_backend().firing_strengths(x, self.means, self.sigmas)[0]
+        return kernels.firing_strengths(x, self.means, self.sigmas)[0]
 
     def normalized_firing_strengths(self, x: np.ndarray) -> np.ndarray:
         """Weights normalized to sum to one per sample (ANFIS layer 3).
@@ -254,14 +231,16 @@ class TSKSystem:
         input far outside the trained region.
         """
         x = self._validate_input(x)
-        return get_backend().firing_strengths(x, self.means, self.sigmas)[1]
-
-    def _normalize(self, w: np.ndarray) -> np.ndarray:
-        return get_backend().normalize_firing(w)[0]
+        return kernels.firing_strengths(x, self.means, self.sigmas)[1]
 
     def rule_outputs(self, x: np.ndarray) -> np.ndarray:
-        """Consequent values ``f_j(x)``, shape ``(n_samples, n_rules)``."""
-        return self._rule_outputs(self._validate_input(x))
+        """Consequent values ``f_j(x)``, shape ``(n_samples, n_rules)``.
+
+        Row results do not depend on batch size (see
+        :func:`repro.fuzzy.kernels.rule_consequents`).
+        """
+        return kernels.rule_consequents(self._validate_input(x),
+                                        self.coefficients, self.order)
 
     def evaluate_components(self, x: np.ndarray,
                             validate: bool = True) -> TSKComponents:
@@ -283,7 +262,7 @@ class TSKSystem:
         """
         if validate:
             x = self._validate_input(x)
-        wbar, f, output, w, total = get_backend().tsk_forward_components(
+        wbar, f, output, w, total = kernels.tsk_forward_components(
             x, self.means, self.sigmas, self.coefficients, self.order)
         return TSKComponents(wbar=wbar, f=f, output=output, w=w,
                              total=total)

@@ -18,16 +18,15 @@ package is the systematic version of those claims:
 ``repro verify`` runs all three gates; CI runs it on every push.
 """
 
-from .differential import (BACKEND_TOLERANCES, DifferentialReport,
-                           DifferentialRunner, FAULT_STAGES, STAGE_NAMES,
-                           StageFault, StageReport, ulp_distance)
+from .differential import (DifferentialReport, DifferentialRunner,
+                           FAULT_STAGES, STAGE_NAMES, StageFault,
+                           StageReport, ulp_distance)
 from .fuzz import FuzzReport, run_fuzz
 from .golden import (GoldenDiff, GoldenTrace, capture_trace,
                      check_against_golden, default_golden_path,
                      diff_traces, update_golden)
 
 __all__ = [
-    "BACKEND_TOLERANCES",
     "DifferentialReport",
     "DifferentialRunner",
     "FAULT_STAGES",

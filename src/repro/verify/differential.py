@@ -16,13 +16,11 @@ actually catch the regressions it claims to guard against.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import get_backend, resolve_backend_name, use_backend
 from ..clustering.subtractive import (SubtractiveClustering,
                                       initial_potentials,
                                       potential_reduction)
@@ -429,30 +427,6 @@ STAGES: Tuple[_StageSpec, ...] = (
 
 STAGE_NAMES: Tuple[str, ...] = tuple(spec.name for spec in STAGES)
 
-#: Per-backend tolerance overrides, ``{backend: {stage: (atol, rtol)}}``.
-#: The default tolerances in :data:`STAGES` are the ``numpy`` gates (the
-#: backend that claims bit identity with the historical kernels); the
-#: non-bit-identical backends get wider gates only on the stages their
-#: fusion actually reassociates — log-space firing perturbs everything
-#: built on rule weights (tsk, gradient, lse), matmul-shaped gradient
-#: reductions perturb the gradient stage.  Exact-match stages
-#: (normalization, serving) stay exact under every backend: both sides
-#: of those comparisons run through the same backend.  The numbers are
-#: duplicated in ``docs/paper_mapping.md`` — keep the two in sync.
-BACKEND_TOLERANCES: Dict[str, Dict[str, Tuple[float, float]]] = {
-    "fused": {
-        "tsk": (1e-9, 1e-6),
-        "gradient": (1e-9, 1e-5),
-        "lse": (1e-7, 1e-5),
-    },
-    "numba": {
-        "membership": (1e-300, 1e-6),
-        "tsk": (1e-9, 1e-6),
-        "gradient": (1e-9, 1e-5),
-        "lse": (1e-7, 1e-5),
-    },
-}
-
 #: Stages whose optimized side accepts a :class:`StageFault` mutation.
 FAULT_STAGES: Tuple[str, ...] = ("tsk",)
 
@@ -470,18 +444,11 @@ class DifferentialRunner:
     fault:
         Optional :class:`StageFault` applied to the optimized side —
         the negative-control hook.
-    backend:
-        Numeric backend name to run the optimized side under (resolved
-        through :func:`repro.backend.resolve_backend_name`, so the env
-        fallback semantics apply).  ``None`` uses whatever backend is
-        active.  Non-default backends are gated at the widened
-        tolerances in :data:`BACKEND_TOLERANCES`.
     """
 
     def __init__(self, seeds: Sequence[int] = (7, 11, 13),
                  stages: Optional[Sequence[str]] = None,
-                 fault: Optional[StageFault] = None,
-                 backend: Optional[str] = None) -> None:
+                 fault: Optional[StageFault] = None) -> None:
         if not seeds:
             raise ConfigurationError("need >= 1 seed")
         self.seeds = tuple(int(s) for s in seeds)
@@ -496,27 +463,15 @@ class DifferentialRunner:
                 f"stage {fault.stage!r} does not support fault injection; "
                 f"supported: {list(FAULT_STAGES)}")
         self.fault = fault
-        #: Resolved eagerly so a typo fails at construction (and the
-        #: numba-missing fallback warns once, here, not per stage).
-        self.backend = (resolve_backend_name(backend)
-                        if backend is not None else None)
 
     def run(self) -> DifferentialReport:
-        with contextlib.ExitStack() as stack:
-            if self.backend is not None:
-                stack.enter_context(use_backend(self.backend))
-            backend_name = get_backend().name
-            overrides = BACKEND_TOLERANCES.get(backend_name, {})
-            contexts = [_SeedContext(seed) for seed in self.seeds]
-            reports = []
-            for spec in self.stages:
-                if spec.name in overrides:
-                    atol, rtol = overrides[spec.name]
-                    spec = dataclasses.replace(spec, atol=atol, rtol=rtol)
-                mutate = (self.fault.mutate
-                          if self.fault is not None
-                          and self.fault.stage == spec.name else None)
-                reports.append(self._run_stage(spec, contexts, mutate))
+        contexts = [_SeedContext(seed) for seed in self.seeds]
+        reports = []
+        for spec in self.stages:
+            mutate = (self.fault.mutate
+                      if self.fault is not None
+                      and self.fault.stage == spec.name else None)
+            reports.append(self._run_stage(spec, contexts, mutate))
         return DifferentialReport(seeds=self.seeds, stages=tuple(reports))
 
     def _run_stage(self, spec: _StageSpec, contexts: List[_SeedContext],

@@ -25,7 +25,7 @@ import numpy as np
 from ..exceptions import CalibrationError, DimensionError
 from ..stats.gaussian import Gaussian
 
-#: Same underflow floor as :data:`repro.fuzzy.tsk._WEIGHT_FLOOR` — the
+#: Same underflow floor as :data:`repro.fuzzy.kernels.WEIGHT_FLOOR` — the
 #: reference restates the degradation contract, it does not import it.
 WEIGHT_FLOOR = 1e-300
 

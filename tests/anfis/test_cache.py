@@ -3,20 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import backend as bk
+from repro.anfis.cache import ForwardCache
 from repro.anfis.gradient import (PremiseGradients, apply_gradient_step,
                                   premise_gradients)
 from repro.anfis.lse import design_matrix
-from repro.backend import ForwardCache
 from repro.fuzzy.tsk import TSKSystem
-
-
-@pytest.fixture(autouse=True)
-def _default_backend(monkeypatch):
-    monkeypatch.delenv(bk.ENV_VAR, raising=False)
-    bk.set_backend(None)
-    yield
-    bk.set_backend(None)
 
 
 @pytest.fixture
@@ -62,16 +53,6 @@ class TestForwardCache:
         system.means = system.means.copy()   # snapshot-restore pattern
         cache.firing()
         assert cache.misses == 2
-
-    def test_backend_switch_invalidates(self, system, x):
-        cache = ForwardCache(system, x)
-        cache.firing()
-        with bk.use_backend("fused"):
-            cache.firing()
-        assert cache.misses == 2
-        # And back again: the stored arrays are fused-backend arrays.
-        cache.firing()
-        assert cache.misses == 3
 
     def test_cached_firing_matches_system(self, system, x):
         cache = ForwardCache(system, x)

@@ -1,26 +1,17 @@
 """Regression: the epoch-level forward cache must not change training.
 
-Satellite of the backend PR: ``HybridTrainer`` reuses the premise-side
-firing sweep across the per-epoch gradient, LSE and RMSE consumers.
-These tests pin the contract that the cached run is *bit-identical* to
-the uncached one — per backend — and that the cache actually removes
-the redundant sweeps it claims to.
+``HybridTrainer`` reuses the premise-side firing sweep across the
+per-epoch gradient, LSE and RMSE consumers.  These tests pin the
+contract that the cached run is *bit-identical* to the uncached one and
+that the cache actually removes the redundant sweeps it claims to.
 """
 
 import numpy as np
 import pytest
 
-from repro import backend as bk
 from repro.anfis.training import HybridTrainer
+from repro.fuzzy import kernels
 from repro.fuzzy.tsk import TSKSystem
-
-
-@pytest.fixture(autouse=True)
-def _default_backend(monkeypatch):
-    monkeypatch.delenv(bk.ENV_VAR, raising=False)
-    bk.set_backend(None)
-    yield
-    bk.set_backend(None)
 
 
 @pytest.fixture
@@ -34,29 +25,27 @@ def workload(rng):
     return x, y, template
 
 
-def _train(template, x, y, use_cache, backend, check=True):
-    with bk.use_backend(backend):
-        system = template.copy()
-        trainer = HybridTrainer(epochs=12, use_cache=use_cache, patience=4)
-        kwargs = (dict(x_check=x[:32], y_check=y[:32]) if check else {})
-        report = trainer.train(system, x, y, **kwargs)
+def _train(template, x, y, use_cache, check=True):
+    system = template.copy()
+    trainer = HybridTrainer(epochs=12, use_cache=use_cache, patience=4)
+    kwargs = (dict(x_check=x[:32], y_check=y[:32]) if check else {})
+    report = trainer.train(system, x, y, **kwargs)
     return system, report
 
 
-@pytest.mark.parametrize("backend", ["numpy", "fused"])
 class TestCachedTrainingBitIdentity:
-    def test_trained_parameters_identical(self, workload, backend):
+    def test_trained_parameters_identical(self, workload):
         x, y, template = workload
-        cached, rep_c = _train(template, x, y, True, backend)
-        plain, rep_p = _train(template, x, y, False, backend)
+        cached, rep_c = _train(template, x, y, True)
+        plain, rep_p = _train(template, x, y, False)
         assert np.array_equal(cached.means, plain.means)
         assert np.array_equal(cached.sigmas, plain.sigmas)
         assert np.array_equal(cached.coefficients, plain.coefficients)
 
-    def test_history_identical(self, workload, backend):
+    def test_history_identical(self, workload):
         x, y, template = workload
-        _, rep_c = _train(template, x, y, True, backend)
-        _, rep_p = _train(template, x, y, False, backend)
+        _, rep_c = _train(template, x, y, True)
+        _, rep_p = _train(template, x, y, False)
         assert [(e.train_rmse, e.check_rmse, e.learning_rate)
                 for e in rep_c.history] == \
                [(e.train_rmse, e.check_rmse, e.learning_rate)
@@ -64,10 +53,10 @@ class TestCachedTrainingBitIdentity:
         assert rep_c.best_epoch == rep_p.best_epoch
         assert rep_c.stopped_early == rep_p.stopped_early
 
-    def test_no_check_set_path_identical(self, workload, backend):
+    def test_no_check_set_path_identical(self, workload):
         x, y, template = workload
-        cached, _ = _train(template, x, y, True, backend, check=False)
-        plain, _ = _train(template, x, y, False, backend, check=False)
+        cached, _ = _train(template, x, y, True, check=False)
+        plain, _ = _train(template, x, y, False, check=False)
         assert np.array_equal(cached.coefficients, plain.coefficients)
 
 
@@ -76,18 +65,17 @@ class TestCacheEffectiveness:
         """Cache on: epoch 0 pays one sweep, then one per gradient step.
 
         Uncached, every epoch pays three (gradients, design matrix,
-        train RMSE).  Counted by intercepting the backend kernel.
+        train RMSE).  Counted by intercepting the firing kernel.
         """
         x, y, template = workload
         calls = {"n": 0}
-        backend = bk.get_backend("numpy")
-        original = type(backend).firing_strengths
+        original = kernels.firing_strengths
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls["n"] += 1
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(type(backend), "firing_strengths", counting)
+        monkeypatch.setattr(kernels, "firing_strengths", counting)
         epochs = 6
         system = template.copy()
         HybridTrainer(epochs=epochs, use_cache=True).train(system, x, y)

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.fuzzy.membership import (GaussianMF, GeneralizedBellMF, SigmoidMF,
-                                    TrapezoidalMF, TriangularMF,
-                                    gaussian_sigma_from_radius)
+from repro.fuzzy.membership import GaussianMF, gaussian_sigma_from_radius
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -55,94 +53,6 @@ class TestGaussianMF:
     def test_range_invariant(self, x, mean, sigma):
         value = float(GaussianMF(mean=mean, sigma=sigma)(x))
         assert 0.0 <= value <= 1.0
-
-
-class TestTriangularMF:
-    def test_peak_and_feet(self):
-        mf = TriangularMF(a=0.0, b=1.0, c=2.0)
-        assert mf(1.0) == pytest.approx(1.0)
-        assert mf(0.0) == pytest.approx(0.0)
-        assert mf(2.0) == pytest.approx(0.0)
-        assert mf(0.5) == pytest.approx(0.5)
-
-    def test_outside_support_is_zero(self):
-        mf = TriangularMF(a=0.0, b=1.0, c=2.0)
-        assert mf(-1.0) == 0.0
-        assert mf(3.0) == 0.0
-
-    def test_left_shoulder(self):
-        mf = TriangularMF(a=0.0, b=0.0, c=1.0)
-        assert mf(0.0) == pytest.approx(1.0)
-        assert mf(0.5) == pytest.approx(0.5)
-
-    def test_right_shoulder(self):
-        mf = TriangularMF(a=0.0, b=1.0, c=1.0)
-        assert mf(1.0) == pytest.approx(1.0)
-        assert float(mf(1.2)) == pytest.approx(0.0)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ConfigurationError):
-            TriangularMF(a=2.0, b=1.0, c=0.0)
-        with pytest.raises(ConfigurationError):
-            TriangularMF(a=1.0, b=1.0, c=1.0)
-
-    @given(x=finite)
-    def test_range_invariant(self, x):
-        value = float(TriangularMF(a=-1.0, b=0.5, c=2.0)(x))
-        assert 0.0 <= value <= 1.0
-
-
-class TestTrapezoidalMF:
-    def test_plateau(self):
-        mf = TrapezoidalMF(a=0.0, b=1.0, c=2.0, d=3.0)
-        assert mf(1.0) == pytest.approx(1.0)
-        assert mf(1.5) == pytest.approx(1.0)
-        assert mf(2.0) == pytest.approx(1.0)
-
-    def test_slopes(self):
-        mf = TrapezoidalMF(a=0.0, b=1.0, c=2.0, d=3.0)
-        assert mf(0.5) == pytest.approx(0.5)
-        assert mf(2.5) == pytest.approx(0.5)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ConfigurationError):
-            TrapezoidalMF(a=0.0, b=2.0, c=1.0, d=3.0)
-
-    def test_support_center(self):
-        mf = TrapezoidalMF(a=0.0, b=1.0, c=2.0, d=3.0)
-        assert mf.support_center() == pytest.approx(1.5)
-
-
-class TestGeneralizedBellMF:
-    def test_peak_at_center(self):
-        mf = GeneralizedBellMF(a=1.0, b=2.0, c=3.0)
-        assert mf(3.0) == pytest.approx(1.0)
-
-    def test_half_height_at_a(self):
-        mf = GeneralizedBellMF(a=2.0, b=3.0, c=0.0)
-        assert mf(2.0) == pytest.approx(0.5)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            GeneralizedBellMF(a=0.0, b=1.0, c=0.0)
-        with pytest.raises(ConfigurationError):
-            GeneralizedBellMF(a=1.0, b=-1.0, c=0.0)
-
-
-class TestSigmoidMF:
-    def test_half_at_center(self):
-        mf = SigmoidMF(center=1.0, slope=4.0)
-        assert mf(1.0) == pytest.approx(0.5)
-
-    def test_monotone_increasing(self):
-        mf = SigmoidMF(center=0.0, slope=2.0)
-        xs = np.linspace(-3, 3, 20)
-        ys = np.asarray(mf(xs))
-        assert np.all(np.diff(ys) > 0)
-
-    def test_negative_slope_decreasing(self):
-        mf = SigmoidMF(center=0.0, slope=-2.0)
-        assert mf(-2.0) > mf(2.0)
 
 
 class TestGaussianSigmaFromRadius:
