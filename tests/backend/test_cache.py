@@ -1,4 +1,8 @@
-"""ForwardCache keying, invalidation, and bit-identical reuse."""
+"""ForwardCache keying, invalidation, and bit-identical reuse.
+
+The cache lives in :mod:`repro.anfis.cache`; this module keeps its
+original location so the test IDs stay stable.
+"""
 
 import numpy as np
 import pytest

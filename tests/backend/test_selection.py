@@ -1,138 +1,22 @@
-"""Backend selection: env var, CLI flag, fallback and failure modes."""
+"""The numeric-backend selection is gone: there is one numpy kernel
+module.  A leftover ``--backend`` argument must fail loudly with a usage
+error instead of silently running the kernels it no longer selects."""
 
 import pytest
 
-from repro import backend as bk
 from repro.cli import main
-from repro.exceptions import BackendError, ConfigurationError, ReproError
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Each test starts with no env selection and no explicit override."""
-    monkeypatch.delenv(bk.ENV_VAR, raising=False)
-    bk.set_backend(None)
-    yield
-    bk.set_backend(None)
-
-
-class TestResolution:
-    def test_default_is_numpy(self):
-        assert bk.resolve_backend_name() == "numpy"
-        assert bk.get_backend().name == "numpy"
-        assert bk.get_backend().bit_identical
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(bk.ENV_VAR, "fused")
-        assert bk.get_backend().name == "fused"
-
-    def test_env_is_reread_per_call(self, monkeypatch):
-        assert bk.get_backend().name == "numpy"
-        monkeypatch.setenv(bk.ENV_VAR, "fused")
-        assert bk.get_backend().name == "fused"
-        monkeypatch.delenv(bk.ENV_VAR)
-        assert bk.get_backend().name == "numpy"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(bk.ENV_VAR, "fused")
-        assert bk.get_backend("numpy").name == "numpy"
-
-    def test_set_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(bk.ENV_VAR, "numpy")
-        bk.set_backend("fused")
-        assert bk.get_backend().name == "fused"
-        bk.set_backend(None)
-        assert bk.get_backend().name == "numpy"
-
-    def test_use_backend_scopes_and_restores(self, monkeypatch):
-        monkeypatch.setenv(bk.ENV_VAR, "numpy")
-        with bk.use_backend("fused") as active:
-            assert active.name == "fused"
-            assert bk.get_backend().name == "fused"
-        assert bk.get_backend().name == "numpy"
-
-    def test_names_are_case_and_space_insensitive(self):
-        assert bk.resolve_backend_name("  Fused ") == "fused"
-
-    def test_instances_are_cached(self):
-        assert bk.get_backend("fused") is bk.get_backend("fused")
-
-
-class TestFailureModes:
-    def test_unknown_name_raises_backend_error(self):
-        with pytest.raises(BackendError):
-            bk.resolve_backend_name("cuda")
-        with pytest.raises(BackendError):
-            bk.get_backend("cuda")
-
-    def test_backend_error_is_a_repro_configuration_error(self):
-        """A typo'd backend fails loudly inside the repo's hierarchy."""
-        assert issubclass(BackendError, ConfigurationError)
-        assert issubclass(BackendError, ReproError)
-
-    def test_unknown_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(bk.ENV_VAR, "gpu")
-        with pytest.raises(BackendError):
-            bk.get_backend()
-
-    @pytest.mark.skipif(bk.numba_available(),
-                        reason="numba installed: no fallback to test")
-    def test_missing_numba_warns_and_falls_back(self):
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert bk.resolve_backend_name("numba") == "numpy"
-
-    @pytest.mark.skipif(bk.numba_available(),
-                        reason="numba installed: no fallback to test")
-    def test_missing_numba_env_var_degrades_gracefully(self, monkeypatch):
-        monkeypatch.setenv(bk.ENV_VAR, "numba")
-        with pytest.warns(RuntimeWarning):
-            assert bk.get_backend().name == "numpy"
-
-    @pytest.mark.skipif(not bk.numba_available(),
-                        reason="needs the optional numba package")
-    def test_numba_resolves_when_available(self):
-        assert bk.resolve_backend_name("numba") == "numba"
-        assert bk.get_backend("numba").name == "numba"
-
-    def test_available_backends(self):
-        names = bk.available_backends()
-        assert names[:2] == ("numpy", "fused")
-        assert ("numba" in names) == bk.numba_available()
 
 
 class TestCLIFlag:
-    def test_cli_flag_beats_env(self, monkeypatch, capsys):
-        """--backend wins over $REPRO_BACKEND for the whole invocation."""
-        monkeypatch.setenv(bk.ENV_VAR, "numpy")
-        code = main(["--backend", "fused", "verify",
-                     "--stage", "normalization", "--seeds", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "numeric backend: fused" in out
-
-    def test_cli_flag_equals_form(self, capsys):
-        code = main(["verify", "--backend=fused",
-                     "--stage", "normalization", "--seeds", "1"])
-        assert code == 0
-        assert "numeric backend: fused" in capsys.readouterr().out
-
-    def test_cli_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv(bk.ENV_VAR, "fused")
-        code = main(["verify", "--stage", "normalization", "--seeds", "1"])
-        assert code == 0
-        assert "numeric backend: fused" in capsys.readouterr().out
-
     def test_cli_unknown_backend_exits_2(self, capsys):
-        code = main(["--backend", "cuda", "verify",
-                     "--stage", "normalization"])
-        assert code == 2
-        assert "unknown numeric backend" in capsys.readouterr().err
+        """``repro --backend fused verify`` (valid before) is rejected."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--backend", "fused", "verify"])
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_cli_missing_value_exits_2(self, capsys):
-        code = main(["verify", "--backend"])
-        assert code == 2
-
-    def test_cli_restores_active_backend(self):
-        main(["--backend", "fused", "verify",
-              "--stage", "normalization", "--seeds", "1"])
-        assert bk.get_backend().name == "numpy"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--backend"])
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err

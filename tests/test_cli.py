@@ -312,10 +312,3 @@ class TestVerifyCommand:
             main(["verify", "--stage", "einsum"])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
-
-    def test_removed_backend_flag_is_a_usage_error(self, capsys):
-        """``--backend`` is gone; old scripts must fail, not run numpy."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--backend", "fused", "verify"])
-        assert excinfo.value.code == 2
-        assert "usage:" in capsys.readouterr().err
