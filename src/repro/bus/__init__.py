@@ -11,8 +11,9 @@ AwareOffice environment").  Pieces:
 * :mod:`~repro.bus.broker` — partitioned broker core: credit-window
   backpressure, cumulative acks, tick-driven at-least-once redelivery,
   partition kill/revive for drills;
-* :mod:`~repro.bus.server` — the asyncio TCP endpoint (shares the
-  hardened JSONL framing with ``repro serve``) and a thread-hosted
+* :mod:`~repro.bus.server` — the broker's frame protocol on the JSONL
+  server core it shares with ``repro serve``
+  (:func:`~repro.serving.framing.serve_jsonl`), and a thread-hosted
   :class:`BrokerServer`;
 * :mod:`~repro.bus.client` — :class:`BusClient`, the drop-in
   ``EventBus`` adapter doing consumer-side dedupe + reorder on

@@ -110,25 +110,35 @@ def run_bus_command(args: argparse.Namespace) -> int:
 
 
 def _parse_listen(value: str) -> "tuple[str, int]":
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
+    from ..serving.framing import parse_host_port
+
+    try:
+        return parse_host_port(value)
+    except ValueError as exc:
+        print(f"address {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
-    from .broker import BusConfig
+    from .broker import BrokerCore, BusConfig
     from .server import serve_bus
 
     host, port = _parse_listen(args.listen)
     config = BusConfig(n_partitions=args.partitions, credits=args.credits)
-    try:
-        asyncio.run(serve_bus(args.log_dir, host, port, config=config,
-                              tick_interval_s=args.tick_ms / 1e3))
-    except KeyboardInterrupt:
-        print("bus broker interrupted", file=sys.stderr)
+
+    async def _serve(core: BrokerCore) -> None:
+        # A graceful SIGINT, also in the background where shells ignore it.
+        stop = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGINT,
+                                                      stop.set)
+        await serve_bus(core, host, port, stop=stop,
+                        tick_interval_s=args.tick_ms / 1e3)
+
+    with BrokerCore(args.log_dir, config) as core:
+        asyncio.run(_serve(core))
     return 0
 
 

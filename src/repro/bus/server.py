@@ -1,7 +1,7 @@
 """Asyncio TCP endpoint for the context-event broker.
 
-Speaks the same hardened JSONL framing as ``repro serve``
-(:mod:`repro.serving.framing`); on top of it, a tiny frame protocol.
+The frame protocol of the broker on the JSONL server core it shares
+with ``repro serve`` (:func:`repro.serving.framing.serve_jsonl`).
 Requests carry a ``bus`` op and an optional ``rid`` the reply echoes
 (the :class:`~repro.bus.client.SocketLink` correlates on it, so a retry
 cannot be satisfied by a stale reply):
@@ -19,102 +19,74 @@ revive    partition                                  revive_ok
 shutdown  —                                          shutdown_ok
 ========  =========================================  ==================
 
-Deliveries are pushed asynchronously on the subscriber's connection as
-``{"bus": "ev", "sid": ..., "event": ..., ...}`` frames via a
-per-connection outbox task.  A disconnect drops the connection's
-subscriptions; whatever was inflight to them is simply unacked state
-the broker forgets with the subscription.
-
-A background task calls :meth:`~repro.bus.broker.BrokerCore.tick`
-periodically, driving at-least-once redelivery of unacked frames.
+Deliveries are pushed to subscribers as ``{"bus": "ev", "sid": ...,
+"event": ..., ...}`` frames by a per-connection outbox task.  A
+disconnect drops the connection's subscriptions and what was inflight to
+them.  A background :meth:`~repro.bus.broker.BrokerCore.tick` drives
+at-least-once redelivery of unacked frames.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import BusError, ConfigurationError
-from ..serving.framing import iter_jsonl_frames, write_frame
+from ..serving.framing import (Connection, FrameHandler, _announce,
+                               serve_jsonl)
 from .broker import BrokerCore, BusConfig
 
 
-def _announce(message: str) -> None:
-    print(message, flush=True)
-
-
-async def _handle_bus_connection(core: BrokerCore,
-                                 reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter,
-                                 stop: "asyncio.Event") -> None:
-    """One broker connection: control frames in, replies + events out."""
-    write_lock = asyncio.Lock()
+def _open_connection(core: BrokerCore, stop: "asyncio.Event",
+                     conn: Connection) -> FrameHandler:
+    """Frame semantics of a broker connection: ops in, replies, events out."""
     outbox: "asyncio.Queue[Dict[str, object]]" = asyncio.Queue()
-    state = {"closed": False}
     sids: List[int] = []
 
     def send(frame: Dict[str, object]) -> None:
-        # Called synchronously by the broker core while delivering;
-        # raising tells it this subscriber is gone.
-        if state["closed"]:
+        # The core's delivery callback; raising tells it this subscriber
+        # is gone.
+        if conn.writer.is_closing():
             raise BusError("connection closed")
         outbox.put_nowait(frame)
 
-    async def _drain_outbox() -> None:
+    async def push() -> None:
         while True:
-            frame = await outbox.get()
-            await write_frame(writer, write_lock, frame)
+            await conn.send(await outbox.get())
 
-    pusher = asyncio.get_running_loop().create_task(_drain_outbox())
-    try:
-        async for text in iter_jsonl_frames(reader, writer, write_lock):
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError:
-                await write_frame(writer, write_lock,
-                                  {"error": "bad request: frame is not "
-                                            "valid JSON"})
-                continue
-            if not isinstance(doc, dict):
-                await write_frame(writer, write_lock,
-                                  {"error": "bad request: frame must be "
-                                            "an object"})
-                continue
-            rid = doc.get("rid")
-            op = doc.get("bus")
-            try:
-                reply = _dispatch(core, doc, op, send, sids, stop)
-            except (BusError, ConfigurationError, KeyError, TypeError,
-                    ValueError) as exc:
-                reply = {"error": f"{type(exc).__name__}: {exc}"}
-            if reply is None:
-                continue  # ack: fire-and-forget
-            if rid is not None:
-                reply["rid"] = rid
-            await write_frame(writer, write_lock, reply)
-    except asyncio.CancelledError:
-        # Loop teardown (server stop) cancels live connections; treat it
-        # as a disconnect rather than letting the cancellation surface
-        # through the streams callback as shutdown noise.
-        pass
-    finally:
-        state["closed"] = True
+    pusher = asyncio.get_running_loop().create_task(push())
+
+    def close() -> None:
+        pusher.cancel()
         for sid in sids:
             core.unsubscribe(sid)
-        pusher.cancel()
-        writer.close()
+
+    async def handle(text: str) -> None:
         try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # The loop is tearing down (server stop) while this
-            # connection drains its close handshake; the transport is
-            # closed either way, so don't let the cancellation escape
-            # as loop-shutdown noise.
-            pass
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            await conn.send({"error": "bad request: frame is not valid "
+                                      "JSON"})
+            return
+        if not isinstance(doc, dict):
+            await conn.send({"error": "bad request: frame must be an "
+                                      "object"})
+            return
+        try:
+            reply = _dispatch(core, doc, doc.get("bus"), send, sids, stop)
+        except (BusError, ConfigurationError, KeyError, TypeError,
+                ValueError) as exc:
+            reply = {"error": f"{type(exc).__name__}: {exc}"}
+        if reply is not None:   # None: an ack, fire-and-forget
+            if doc.get("rid") is not None:
+                reply["rid"] = doc["rid"]
+            await conn.send(reply)
+
+    conn.on_close(close)
+    return handle
 
 
 def _dispatch(core: BrokerCore, doc: Dict[str, object], op: object,
@@ -166,34 +138,22 @@ def _dispatch(core: BrokerCore, doc: Dict[str, object], op: object,
     raise BusError(f"unknown bus op {op!r}")
 
 
-async def serve_bus(log_dir, host: str, port: int,
-                    config: Optional[BusConfig] = None,
-                    core: Optional[BrokerCore] = None,
+async def serve_bus(core: BrokerCore, host: str, port: int,
                     ready: Optional["asyncio.Event"] = None,
                     stop: Optional["asyncio.Event"] = None,
                     tick_interval_s: float = 0.05,
                     announce=_announce,
                     on_bound: Optional[Callable[[str, int], None]] = None
-                    ) -> BrokerCore:
-    """Run the broker TCP endpoint until *stop* is set.
+                    ) -> None:
+    """Serve *core* over TCP until *stop* is set, then sync its log.
 
-    Builds (or adopts) a :class:`BrokerCore` over the event log at
-    *log_dir* and serves the frame protocol above; a background task
-    ticks the core's redelivery timer every *tick_interval_s*.  Returns
-    the core (its counters are the post-mortem of the run).
+    The redelivery timer ticks every *tick_interval_s*.  The caller
+    opens and closes *core*; its counters are the run's post-mortem.
     """
     if tick_interval_s <= 0:
         raise ConfigurationError(
             f"tick_interval_s must be > 0, got {tick_interval_s}")
-    own_core = core is None
-    core = core if core is not None else BrokerCore(log_dir, config)
     stop = stop if stop is not None else asyncio.Event()
-
-    async def _handler(reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        await _handle_bus_connection(core, reader, writer, stop)
-
-    server = await asyncio.start_server(_handler, host, port)
 
     async def _ticker() -> None:
         while True:
@@ -201,26 +161,19 @@ async def serve_bus(log_dir, host: str, port: int,
             core.tick()
 
     ticker = asyncio.get_running_loop().create_task(_ticker())
-    bound = server.sockets[0].getsockname()
-    announce(f"bus broker on {bound[0]}:{bound[1]} "
-             f"(partitions={core.config.n_partitions}, "
-             f"credits={core.config.credits}, log={core.log.root})")
-    if on_bound is not None:
-        on_bound(bound[0], int(bound[1]))
-    if ready is not None:
-        ready.set()
     try:
-        async with server:
-            await stop.wait()
+        await serve_jsonl(
+            functools.partial(_open_connection, core, stop), host, port,
+            stop, "bus broker",
+            f"(partitions={core.config.n_partitions}, "
+            f"credits={core.config.credits}, log={core.log.root})",
+            announce=announce, ready=ready, on_bound=on_bound)
     finally:
         ticker.cancel()
         core.log.sync()
-        if own_core:
-            core.close()
     announce(f"bus broker stopped: {core.n_published} published, "
              f"{core.n_delivered} delivered, "
              f"{core.n_redelivered} redelivered")
-    return core
 
 
 class BrokerServer:
@@ -280,8 +233,7 @@ class BrokerServer:
             self._started.set()
 
         self.core = BrokerCore(self.log_dir, self.config)
-        await serve_bus(self.log_dir, self.host, self.port,
-                        core=self.core, stop=self._stop,
+        await serve_bus(self.core, self.host, self.port, stop=self._stop,
                         tick_interval_s=self.tick_interval_s,
                         announce=lambda _msg: None, on_bound=_on_bound)
 

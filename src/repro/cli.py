@@ -442,16 +442,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .serving import serve_socket, serve_stdio
+    from .serving.framing import parse_host_port
 
     config = _serving_config(args)
     if args.shards < 0:
         print(f"--shards must be >= 0, got {args.shards}", file=sys.stderr)
         return 2
     if args.listen is not None:
-        host, _, port = args.listen.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"--listen expects HOST:PORT, got {args.listen!r}",
-                  file=sys.stderr)
+        try:
+            host, port = parse_host_port(args.listen)
+        except ValueError as exc:
+            print(f"--listen {exc}", file=sys.stderr)
             return 2
     if args.shards:
         from .serving import ShardingConfig, serve_sharded_socket
@@ -470,7 +471,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"served {len(responses)} requests "
                   f"({args.shards} shards)", file=sys.stderr)
             return 0
-        asyncio.run(serve_sharded_socket(artifact, host, int(port),
+        asyncio.run(serve_sharded_socket(artifact, host, port,
                                          config=sharding,
                                          max_requests=args.max_requests))
         return 0
@@ -479,7 +480,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         n = serve_stdio(registry, sys.stdin, sys.stdout, config=config)
         print(f"served {n} requests", file=sys.stderr)
         return 0
-    asyncio.run(serve_socket(registry, host, int(port), config=config,
+    asyncio.run(serve_socket(registry, host, port, config=config,
                              max_requests=args.max_requests))
     return 0
 
@@ -488,17 +489,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .datasets.generator import make_awarepen_material
     from .serving import (InferenceService, LoadgenConfig, run_loadgen,
                           run_loadgen_socket)
+    from .serving.framing import parse_host_port
 
     config = LoadgenConfig(n_requests=args.n_requests, rate_hz=args.rate,
                            seed=args.seed, n_streams=args.n_streams)
     if args.connect is not None:
-        host, _, port = args.connect.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"--connect expects HOST:PORT, got {args.connect!r}",
-                  file=sys.stderr)
+        try:
+            host, port = parse_host_port(args.connect)
+        except ValueError as exc:
+            print(f"--connect {exc}", file=sys.stderr)
             return 2
         cue_pool = make_awarepen_material(seed=args.seed).analysis.cues
-        report = run_loadgen_socket(host, int(port), config, cue_pool)
+        report = run_loadgen_socket(host, port, config, cue_pool)
     else:
         registry, material = _build_registry(args)
         serving_config = _serving_config(args)

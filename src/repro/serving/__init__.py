@@ -10,7 +10,7 @@ micro-batch coalescing onto the batched hot paths, a stateful
 :class:`~repro.core.degradation.GracefulDegrader` at the response
 boundary, atomic hot-swap of re-calibrated packages and graceful drain.
 
-Seven pieces:
+Eight pieces:
 
 * :mod:`~repro.serving.protocol` — request/response records + JSONL wire
   format;
@@ -20,6 +20,9 @@ Seven pieces:
 * :mod:`~repro.serving.loadgen` — seeded open-loop load generation
   (:func:`~repro.serving.loadgen.run_loadgen`) feeding
   ``benchmarks/bench_serving.py`` → ``BENCH_serving.json``;
+* :mod:`~repro.serving.framing` — the one JSONL server core (listener,
+  hardened frame loop, drain) under ``repro serve``, the shard
+  processes and the ``repro bus serve`` broker;
 * :mod:`~repro.serving.transport` — stdio/TCP adapters behind
   ``repro serve`` and ``repro loadgen --connect``;
 * :mod:`~repro.serving.shm` + :mod:`~repro.serving.sharding` — the

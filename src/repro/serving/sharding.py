@@ -7,7 +7,7 @@ into every worker.  This module is the horizontal answer:
 * **Shard processes** — ``n_shards`` spawned processes, each running the
   unmodified :class:`~repro.serving.service.InferenceService` behind the
   JSONL socket transport (:func:`~repro.serving.transport.
-  serve_connections` with the control plane enabled).  Admission
+  serve_connections` with the shard control ops registered).  Admission
   control, ε load-shedding, micro-batching and graceful drain are the
   *per-shard* semantics of PR 4, unchanged.
 * **Shared-memory artifacts** — the model triple is pickled once into a
@@ -40,12 +40,14 @@ import hashlib
 import json
 import multiprocessing
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from .. import observability as obs
 from ..exceptions import ConfigurationError, ServiceClosedError
+from .framing import _announce
 from .protocol import ServeRequest, ServeResponse
 from .registry import ModelRegistry
 from .service import ServingConfig
@@ -152,6 +154,40 @@ class ShardingConfig:
                 f"spawn_timeout_s must be > 0, got {self.spawn_timeout_s}")
 
 
+def _control_ops(service, registry: ModelRegistry,
+                 stop: "asyncio.Event") -> Dict[str, Callable]:
+    """The ``ctl`` ops a shard answers its router on (reply fields)."""
+
+    def publish(doc):
+        artifact = load_artifact(ShmHandle.from_dict(doc.get("shm") or {}))
+        return {"version": registry.publish(
+            artifact.package, classifier=artifact.classifier,
+            tag=artifact.tag)}
+
+    def drain(_doc):
+        # Acknowledge first (the router waits on this frame); the server
+        # core then answers what is in flight and closes.
+        stop.set()
+        return {}
+
+    return {
+        "ping": lambda _doc: {},
+        "publish": publish,
+        "activate": lambda doc: {
+            "version": registry.activate(int(doc["version"])).version},
+        "stats": lambda _doc: {"stats": {
+            "n_submitted": service.n_submitted,
+            "n_shed": service.n_shed,
+            "n_completed": service.n_completed,
+            "n_batches": service.n_batches,
+            "queue_depth": service.queue_depth,
+            "active_version": registry.active_version,
+            "versions": registry.versions(),
+        }},
+        "drain": drain,
+    }
+
+
 def _shard_main(shard_id: int, conn, host: str,
                 serving_config: ServingConfig,
                 handle_doc: Dict[str, object]) -> None:  # pragma: no cover
@@ -159,7 +195,7 @@ def _shard_main(shard_id: int, conn, host: str,
 
     Attaches the shared-memory artifact, replicates it into a local
     registry as v1, and serves JSONL on an OS-assigned port with the
-    control plane enabled.  The only parent communication outside the
+    control ops registered.  The only parent communication outside the
     socket is the pipe: ``("ready", shard_id, port)`` once listening,
     forwarded announcements, and ``("exit", shard_id)`` at teardown.
 
@@ -177,12 +213,12 @@ def _shard_main(shard_id: int, conn, host: str,
         from .transport import serve_connections
         from .service import InferenceService
         service = InferenceService(registry, config=serving_config)
+        stop = asyncio.Event()
         await serve_connections(
             service, host, 0,
-            describe=f"(shard {shard_id})",
-            registry=registry,
+            describe=f"(shard {shard_id})", stop=stop,
             announce=lambda msg: conn.send(("announce", shard_id, msg)),
-            allow_control=True,
+            control=_control_ops(service, registry, stop),
             on_bound=lambda _h, port: conn.send(("ready", shard_id,
                                                  port)))
 
@@ -677,24 +713,18 @@ async def serve_sharded_socket(artifact: ShardArtifact, host: str,
                                ready: Optional["asyncio.Event"] = None,
                                stop: Optional["asyncio.Event"] = None,
                                max_requests: Optional[int] = None,
-                               announce=None) -> None:
+                               announce=_announce) -> None:
     """Public JSONL endpoint fronting a sharded fleet.
 
-    The router terminates client connections exactly like ``repro
-    serve --listen`` and consistent-hash forwards each request to its
-    shard; the control plane stays **off** on the public side (clients
-    cannot swap or drain the fleet).  Lifecycle knobs match
-    :func:`~repro.serving.transport.serve_socket`.
+    Like ``repro serve --listen``, but each request is consistent-hash
+    forwarded to its shard.  No control ops: clients cannot swap or
+    drain the fleet.  Lifecycle knobs match :func:`~repro.serving.
+    transport.serve_socket`.
     """
-    from .transport import _announce, serve_connections
-    service = ShardedService(artifact, config=config)
-    await service.start()
+    from .transport import serve_connections
     await serve_connections(
-        service, host, port,
+        ShardedService(artifact, config=config), host, port,
         describe=(f"({config.n_shards} shards, "
                   f"batch<={config.serving.max_batch}, "
                   f"queue={config.serving.queue_capacity}/shard)"),
-        registry=None, ready=ready, stop=stop,
-        max_requests=max_requests,
-        announce=announce if announce is not None else _announce,
-        allow_control=False)
+        ready=ready, stop=stop, max_requests=max_requests, announce=announce)

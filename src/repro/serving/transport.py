@@ -1,39 +1,27 @@
 """Transports for ``repro serve``: JSONL over stdio or a TCP socket.
 
-The service itself (:mod:`repro.serving.service`) is transport-free;
-this module adapts it to the two deployment shapes the CLI offers:
+* **stdio** — serve every request of a text stream with backpressure,
+  write the responses in request order;
+* **socket** — the serving frame semantics on the shared server core
+  (:func:`~repro.serving.framing.serve_jsonl`): each line is an
+  open-loop submission, answered when its micro-batch completes.
 
-* **stdio** — read every JSONL request from a text stream, serve the
-  whole set with backpressure, write JSONL responses in request order
-  (batch-friendly, exercised by the CLI tests);
-* **socket** — an :func:`asyncio.start_server` JSONL endpoint where each
-  connection's lines become open-loop submissions and responses are
-  written back as their micro-batches complete.  Closing the write side
-  of a connection drains that connection: every admitted request is
-  answered before the server closes it (the CI smoke asserts zero
-  unanswered requests).
-
-The socket endpoint optionally speaks a **control plane**
-(``allow_control=True``): JSONL frames carrying a ``ctl`` key instead of
-``cues``.  This is how the sharded tier (:mod:`repro.serving.sharding`)
-drives its shard processes — ``publish`` (attach a shared-memory
-artifact and register it), ``activate`` (hot-swap by version),
-``stats`` and ``drain``.  Control frames are handled inline in frame
-order, so a router that writes *publish* then *activate* observes the
-acknowledgements in that order.  Public endpoints keep the control
-plane off: a ``ctl`` frame is then just a bad request.
+Only shard processes (:mod:`repro.serving.sharding`) register a
+``control`` op table, answering ``ctl`` frames inline, in frame order.
+Elsewhere a ``ctl`` frame is just a bad request.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import inspect
 import json
-from typing import Callable, IO, List, Optional
+from typing import Callable, Dict, IO, List, Mapping, Optional
 
 from ..exceptions import ConfigurationError
-from .framing import iter_jsonl_frames
-from .protocol import ServeRequest, ServeResponse
+from .framing import Connection, _announce, serve_jsonl
+from .protocol import ServeRequest
 from .registry import ModelRegistry
 from .service import InferenceService, ServingConfig, serve_requests
 
@@ -59,157 +47,77 @@ def serve_stdio(registry: ModelRegistry, stream_in: IO[str],
     return len(responses)
 
 
-async def _handle_control(doc: dict, service, registry: ModelRegistry,
-                          stop: "asyncio.Event") -> dict:
-    """Execute one control frame against this endpoint's registry.
-
-    Returns the acknowledgement document.  Failures come back as
-    ``ok=false`` replies instead of tearing the connection: the fleet
-    router needs the error, not an EOF.
-    """
-    op = doc.get("ctl")
+async def _respond(service, conn: Connection,
+                   request: ServeRequest) -> None:
     try:
-        if op == "ping":
-            return {"ctl": "ping", "ok": True}
-        if op == "publish":
-            from .shm import ShmHandle, load_artifact
-            artifact = load_artifact(ShmHandle.from_dict(doc.get("shm")
-                                                         or {}))
-            version = registry.publish(artifact.package,
-                                       classifier=artifact.classifier,
-                                       tag=artifact.tag)
-            return {"ctl": "publish", "ok": True, "version": version}
-        if op == "activate":
-            model = registry.activate(int(doc["version"]))
-            return {"ctl": "activate", "ok": True,
-                    "version": model.version}
-        if op == "stats":
-            return {"ctl": "stats", "ok": True, "stats": {
-                "n_submitted": service.n_submitted,
-                "n_shed": service.n_shed,
-                "n_completed": service.n_completed,
-                "n_batches": service.n_batches,
-                "queue_depth": service.queue_depth,
-                "active_version": registry.active_version,
-                "versions": registry.versions(),
-            }}
-        if op == "drain":
-            # Acknowledge first (the caller is waiting on this frame),
-            # then let the serve loop tear down gracefully.
-            stop.set()
-            return {"ctl": "drain", "ok": True}
+        response = await service.submit(request.cues,
+                                        class_index=request.class_index,
+                                        request_id=request.request_id,
+                                        key=request.stream_key)
+    except Exception as exc:  # noqa: BLE001 - report, keep the connection
+        await conn.send({"id": request.request_id,
+                         "error": type(exc).__name__,
+                         "message": str(exc)})
+        return
+    await conn.send(response.to_json())
+
+
+async def _handle_request(service, control: Optional[Mapping[str, Callable]],
+                          conn: Connection, text: str) -> None:
+    """Frame semantics of a serving connection: one request per line."""
+    if control is not None:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            doc = None
+        if isinstance(doc, dict) and "ctl" in doc:
+            await conn.send(_control_reply(control, doc))
+            return
+    try:
+        request = ServeRequest.from_json(text)
+    except ConfigurationError as exc:
+        await conn.send({"error": f"bad request: {exc}"})
+        return
+    conn.spawn(_respond(service, conn, request))
+
+
+def _control_reply(control: Mapping[str, Callable],
+                   doc: Dict[str, object]) -> Dict[str, object]:
+    """Run one control op; a failure is an ``ok=false`` reply, not an EOF."""
+    op = doc["ctl"]
+    run = control.get(op) if isinstance(op, str) else None
+    if run is None:
         return {"ctl": op, "ok": False,
                 "error": f"unknown control op {op!r}"}
+    try:
+        return {"ctl": op, "ok": True, **run(doc)}
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         return {"ctl": op, "ok": False,
                 "error": f"{type(exc).__name__}: {exc}"}
 
 
-async def _handle_connection(service, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter,
-                             registry: Optional[ModelRegistry] = None,
-                             allow_control: bool = False,
-                             stop: Optional["asyncio.Event"] = None
-                             ) -> None:
-    """One JSONL connection: lines in, responses out, drain on EOF."""
-    write_lock = asyncio.Lock()
-    tasks: List["asyncio.Task[None]"] = []
-
-    async def _respond(request: ServeRequest) -> None:
-        try:
-            response = await service.submit(request.cues,
-                                            class_index=request.class_index,
-                                            request_id=request.request_id,
-                                            key=request.stream_key)
-        except Exception as exc:  # noqa: BLE001 - report, keep the connection
-            async with write_lock:
-                writer.write((json.dumps(
-                    {"id": request.request_id,
-                     "error": type(exc).__name__,
-                     "message": str(exc)}) + "\n").encode())
-                await writer.drain()
-            return
-        async with write_lock:
-            writer.write((response.to_json() + "\n").encode())
-            await writer.drain()
-
-    loop = asyncio.get_running_loop()
-    # Framing hardening (line limit, bad UTF-8, blank lines) lives in
-    # the shared iterator so the bus endpoint behaves identically.
-    async for text in iter_jsonl_frames(reader, writer, write_lock):
-        if allow_control:
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError:
-                doc = None
-            if isinstance(doc, dict) and "ctl" in doc:
-                # Control frames run inline (not as tasks) so their
-                # acknowledgements keep frame order on this connection.
-                reply = await _handle_control(doc, service, registry,
-                                              stop)
-                async with write_lock:
-                    writer.write((json.dumps(reply) + "\n").encode())
-                    await writer.drain()
-                continue
-        try:
-            request = ServeRequest.from_json(text)
-        except ConfigurationError as exc:
-            async with write_lock:
-                # json.dumps, not string interpolation: the offending
-                # frame is echoed inside the message and may itself
-                # contain quotes or backslashes.
-                writer.write((json.dumps(
-                    {"error": f"bad request: {exc}"}) + "\n").encode())
-                await writer.drain()
-            continue
-        tasks.append(loop.create_task(_respond(request)))
-    if tasks:
-        # Connection-level drain: every admitted request is answered
-        # before the stream closes.
-        await asyncio.gather(*tasks)
-    writer.close()
-    await writer.wait_closed()
-
-
-def _announce(message: str) -> None:
-    """Default announcement hook: unbuffered print (pipes included)."""
-    print(message, flush=True)
-
-
 async def serve_connections(service, host: str, port: int,
                             describe: str = "",
-                            registry: Optional[ModelRegistry] = None,
                             ready: Optional["asyncio.Event"] = None,
                             stop: Optional["asyncio.Event"] = None,
                             max_requests: Optional[int] = None,
                             announce=_announce,
-                            allow_control: bool = False,
+                            control: Optional[Mapping[str, Callable]] = None,
                             on_bound: Optional[Callable[[str, int], None]]
                             = None) -> None:
     """Run the JSONL TCP endpoint over an already-built service.
 
-    The transport core shared by the single-process ``repro serve``
-    (:func:`serve_socket`) and each shard process of the sharded tier
-    (which passes ``allow_control=True`` so its router can publish,
-    activate, inspect and drain it over the same connection).  *service*
-    must expose the :class:`~repro.serving.service.InferenceService`
-    surface: ``start``/``drain``, ``submit``, and the
-    ``n_completed``/``n_shed``/``in_flight`` counters.
-
-    *ready* (when given) is set once the socket is listening, and
-    *on_bound* (when given) is called with the bound ``(host, port)`` —
-    the hook a shard process uses to report its OS-assigned port 0
-    binding back to the router.  With *max_requests* the server retires
-    itself once that many requests have resolved (answered or shed).
-    Shutdown is graceful: the listener closes first, then the service
-    drains.
+    Serves ``repro serve`` (:func:`serve_socket`), the sharded router and
+    each shard process, which passes its *control* op table (op name →
+    ``doc -> reply fields``) and learns its OS-assigned port through
+    *on_bound*.  *service* needs the :class:`~repro.serving.service.
+    InferenceService` surface: ``start``/``drain``, ``submit`` and the
+    ``n_completed``/``n_shed``/``in_flight`` counters.  *ready* is set
+    once listening; with *max_requests* the server retires once that
+    many requests have resolved (answered or shed).  On stop every open
+    connection is answered and closed, then the service drains.
     """
     stop = stop if stop is not None else asyncio.Event()
-    server = await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w, registry=registry,
-                                        allow_control=allow_control,
-                                        stop=stop),
-        host, port)
     started = service.start()
     if inspect.isawaitable(started):
         await started
@@ -221,17 +129,16 @@ async def serve_connections(service, host: str, port: int,
 
     watcher = (asyncio.get_running_loop().create_task(_retire())
                if max_requests is not None else None)
-    bound = server.sockets[0].getsockname()
-    announce(f"serving on {bound[0]}:{bound[1]} {describe}".rstrip())
-    if on_bound is not None:
-        on_bound(bound[0], int(bound[1]))
-    if ready is not None:
-        ready.set()
-    async with server:
-        await stop.wait()
-    if watcher is not None:
-        watcher.cancel()
-    await service.drain()
+    try:
+        await serve_jsonl(
+            lambda conn: functools.partial(_handle_request, service,
+                                           control, conn),
+            host, port, stop, "serving", describe, announce=announce,
+            ready=ready, on_bound=on_bound)
+    finally:
+        if watcher is not None:
+            watcher.cancel()
+        await service.drain()
     announce(f"drained: {service.n_completed} served, "
              f"{service.n_shed} shed, {service.in_flight} in flight")
 
@@ -241,23 +148,12 @@ async def serve_socket(registry: ModelRegistry, host: str, port: int,
                        ready: Optional["asyncio.Event"] = None,
                        stop: Optional["asyncio.Event"] = None,
                        max_requests: Optional[int] = None,
-                       announce=_announce,
-                       allow_control: bool = False,
-                       on_bound: Optional[Callable[[str, int], None]]
-                       = None) -> None:
-    """Run the JSONL TCP endpoint until *stop* is set (or forever).
-
-    Builds a fresh :class:`InferenceService` over *registry* and
-    delegates to :func:`serve_connections`; see there for the lifecycle
-    knobs.  ``allow_control`` additionally enables the shard control
-    plane on this endpoint — leave it off for public endpoints.
-    """
-    service = InferenceService(registry, config=config)
+                       announce=_announce) -> None:
+    """:func:`serve_connections` over a fresh :class:`InferenceService`."""
     await serve_connections(
-        service, host, port,
+        InferenceService(registry, config=config), host, port,
         describe=(f"(batch<={config.max_batch}, "
                   f"deadline={config.deadline_s * 1e3:.1f}ms, "
                   f"queue={config.queue_capacity})"),
-        registry=registry, ready=ready, stop=stop,
-        max_requests=max_requests, announce=announce,
-        allow_control=allow_control, on_bound=on_bound)
+        ready=ready, stop=stop, max_requests=max_requests,
+        announce=announce)

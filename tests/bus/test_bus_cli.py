@@ -84,3 +84,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["bus", "serve", "--log-dir", str(tmp_path),
                   "--listen", "nonsense"])
+        with pytest.raises(SystemExit) as exc:
+            main(["bus", "serve", "--log-dir", str(tmp_path),
+                  "--listen", "127.0.0.1:70000"])
+        assert exc.value.code == 2

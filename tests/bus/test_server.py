@@ -1,13 +1,17 @@
 """Tests for repro.bus.server — the JSONL-over-TCP broker endpoint."""
 
+import asyncio
+import json
+import socket
+import struct
 import time
 
 import pytest
 
 from repro.appliances.messages import ContextEvent
-from repro.bus.broker import BusConfig, partition_for
+from repro.bus.broker import BrokerCore, BusConfig, partition_for
 from repro.bus.client import BusClient, SocketLink
-from repro.bus.server import BrokerServer
+from repro.bus.server import BrokerServer, serve_bus
 from repro.exceptions import BusError
 from repro.types import ContextClass
 
@@ -157,3 +161,139 @@ class TestServerLifecycle:
         broker.stop()
         assert broker.core.n_published == 1
         assert broker.core.log.next_offset == 1
+
+
+def exchange(server, payload):
+    """Send raw bytes, half-close, and collect the replies until EOF."""
+    with socket.create_connection(server._bound, timeout=10) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while True:
+            chunk = sock.recv(1 << 16)
+            if not chunk:
+                break
+            data += chunk
+    return [json.loads(line) for line in data.splitlines() if line]
+
+
+class TestFraming:
+    """The hardened framing holds on the broker endpoint too."""
+
+    def test_oversized_frame_rejected_and_server_survives(self, server):
+        oversized = b'{"bus": "pub", "event": "' + b"x" * 200_000 + b'"}\n'
+        replies = exchange(server, oversized)
+        assert len(replies) == 1
+        assert "line limit" in replies[0]["error"]
+        # The listener still accepts fresh connections.
+        replies = exchange(server, b'{"bus": "stats", "rid": 1}\n')
+        assert [r["bus"] for r in replies] == ["stats_ok"]
+
+    def test_bad_utf8_then_valid_frame(self, server):
+        replies = exchange(server,
+                           b'\xff\xfe garbage\n{"bus": "stats", "rid": 7}\n')
+        assert len(replies) == 2
+        assert "valid UTF-8" in replies[0]["error"]
+        assert replies[1]["bus"] == "stats_ok"
+        assert replies[1]["rid"] == 7
+
+    def test_non_json_and_non_object_frames(self, server):
+        replies = exchange(server, b'not json\n[1, 2]\n"text"\n\n')
+        assert [r["error"] for r in replies] == [
+            "bad request: frame is not valid JSON",
+            "bad request: frame must be an object",
+            "bad request: frame must be an object"]
+
+
+async def _start_broker(core):
+    """Run ``serve_bus`` on port 0 in this loop; (task, stop, port)."""
+    ready = asyncio.Event()
+    stop = asyncio.Event()
+    bound = []
+    task = asyncio.get_running_loop().create_task(serve_bus(
+        core, "127.0.0.1", 0, ready=ready, stop=stop,
+        tick_interval_s=0.02, announce=lambda _msg: None,
+        on_bound=lambda _host, port: bound.append(port)))
+    await asyncio.wait_for(ready.wait(), timeout=5)
+    return task, stop, bound[0]
+
+
+async def _request(reader, writer, doc):
+    writer.write(json.dumps(doc).encode() + b"\n")
+    await writer.drain()
+    while True:
+        reply = json.loads(await asyncio.wait_for(reader.readline(),
+                                                  timeout=10))
+        if reply.get("rid") == doc.get("rid"):
+            return reply
+
+
+class TestConnectionLifecycle:
+    def test_client_reset_drops_subscriptions(self, tmp_path):
+        """A subscriber that RSTs raises nothing out of the connection
+        callback, loses its subscription, and the broker keeps
+        answering."""
+
+        async def scenario():
+            seen = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: seen.append(context))
+            core = BrokerCore(tmp_path / "log",
+                              BusConfig(n_partitions=2, fsync_every=1))
+            task, stop, port = await _start_broker(core)
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            await _request(reader, writer, {
+                "bus": "sub", "pattern": TOPIC, "name": "camera",
+                "from_start": True, "rid": 1})
+            for seq in range(1, 6):
+                await _request(reader, writer, {
+                    "bus": "pub", "event": event(seq).to_wire(),
+                    "rid": 1 + seq})
+            assert core.stats()["n_subscriptions"] == 1
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER,
+                struct.pack("ii", 1, 0))
+            writer.transport.abort()   # RST with deliveries unacked
+            deadline = loop.time() + 10
+            while core.stats()["n_subscriptions"]:
+                assert loop.time() < deadline
+                await asyncio.sleep(0.005)
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            reply = await _request(reader, writer,
+                                   {"bus": "stats", "rid": 42})
+            writer.close()
+            await writer.wait_closed()
+            stop.set()
+            await asyncio.wait_for(task, timeout=10)
+            core.close()
+            return seen, reply
+
+        seen, reply = asyncio.run(scenario())
+        assert seen == []
+        assert reply["bus"] == "stats_ok"
+        assert reply["stats"]["n_published"] == 5
+
+    def test_stop_closes_open_connections(self, tmp_path):
+        """Stopping the broker sends EOF to a still-connected client."""
+
+        async def scenario():
+            core = BrokerCore(tmp_path / "log")
+            task, stop, port = await _start_broker(core)
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            reply = await _request(reader, writer,
+                                   {"bus": "stats", "rid": 1})
+            stop.set()
+            tail = await asyncio.wait_for(reader.readline(), timeout=5)
+            await asyncio.wait_for(task, timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            core.close()
+            return reply, tail
+
+        reply, tail = asyncio.run(scenario())
+        assert reply["bus"] == "stats_ok"
+        assert tail == b""

@@ -2,15 +2,21 @@
 
 import asyncio
 import io
+import json
+import logging
+import socket
+import struct
 
 import numpy as np
 import pytest
 
-from repro.serving import (InferenceService, LoadgenConfig, ServeResponse,
-                           ServingConfig, make_workload, read_requests,
-                           run_loadgen, serve_socket, serve_stdio,
-                           summarize)
+from repro.serving import (InferenceService, LoadgenConfig, ServeRequest,
+                           ServeResponse, ServingConfig, make_workload,
+                           read_requests, run_loadgen, serve_socket,
+                           serve_stdio, summarize)
+from repro.serving import framing
 from repro.serving.loadgen import _drive_socket
+from repro.serving.transport import serve_connections
 
 from .conftest import make_requests
 
@@ -149,3 +155,199 @@ class TestSocket:
 
         line = asyncio.run(scenario())
         assert "bad request" in line
+
+
+async def _start_endpoint(service, stop=None, **kwargs):
+    """Run ``serve_connections`` on port 0; returns (task, stop, port)."""
+    ready = asyncio.Event()
+    stop = stop if stop is not None else asyncio.Event()
+    announcements = []
+    task = asyncio.get_running_loop().create_task(serve_connections(
+        service, "127.0.0.1", 0, ready=ready, stop=stop,
+        announce=announcements.append, **kwargs))
+    await asyncio.wait_for(ready.wait(), timeout=5)
+    port = int(announcements[0].split()[2].rsplit(":", 1)[1])
+    return task, stop, port
+
+
+async def _round_trip(port, frames):
+    """Send *frames* on a fresh connection; replies until EOF."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"".join(json.dumps(f).encode() + b"\n" for f in frames))
+    writer.write_eof()
+    replies = []
+    while True:
+        line = await asyncio.wait_for(reader.readline(), timeout=10)
+        if not line:
+            break
+        replies.append(json.loads(line))
+    writer.close()
+    await writer.wait_closed()
+    return replies
+
+
+async def _until(predicate, timeout_s=10.0):
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.005)
+
+
+class TestSocketLifecycle:
+    def test_client_reset_is_a_disconnect(self, registry, cue_pool,
+                                          caplog):
+        """A client that RSTs mid-stream raises nothing out of the
+        connection callback, its pending replies are never written to
+        the dead socket, and the listener keeps serving."""
+        payload = "".join(r.to_json() + "\n" for r in
+                          make_requests(cue_pool, 64, seed=5)).encode()
+        fresh = ServeRequest(request_id=99, cues=cue_pool[0])
+
+        async def scenario():
+            seen = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: seen.append(context))
+            service = InferenceService(registry, config=ServingConfig(
+                max_batch=4, deadline_s=0.001))
+            task, stop, port = await _start_endpoint(service)
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(payload)
+            await writer.drain()
+            await asyncio.wait_for(reader.readline(), timeout=10)
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER,
+                struct.pack("ii", 1, 0))
+            writer.transport.abort()   # RST, replies still pending
+            await _until(lambda: service.n_submitted > 0
+                         and service.in_flight == 0)
+            replies = await _round_trip(port, [json.loads(fresh.to_json())])
+            stop.set()
+            await asyncio.wait_for(task, timeout=10)
+            return seen, replies
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            seen, replies = asyncio.run(scenario())
+        assert seen == []
+        assert [r["id"] for r in replies] == [99]
+        assert "socket.send() raised exception" not in caplog.text
+
+    def test_stop_answers_admitted_requests_then_closes(self, registry,
+                                                       cue_pool):
+        """Stopping the server answers every admitted request of a
+        still-connected client, then sends it EOF."""
+        requests = make_requests(cue_pool, 8, seed=6)
+        payload = "".join(r.to_json() + "\n" for r in requests).encode()
+
+        async def scenario():
+            # A long batch deadline keeps the requests in flight when
+            # the stop arrives.
+            service = InferenceService(registry, config=ServingConfig(
+                max_batch=64, deadline_s=0.2))
+            task, stop, port = await _start_endpoint(service)
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(payload)
+            await writer.drain()
+            await _until(lambda: service.n_submitted == len(requests))
+            stop.set()
+            lines = []
+            while True:
+                line = await asyncio.wait_for(reader.readline(), timeout=5)
+                if not line:
+                    break
+                lines.append(json.loads(line))
+            await asyncio.wait_for(task, timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            return lines
+
+        lines = asyncio.run(scenario())
+        assert sorted(r["id"] for r in lines) == list(range(8))
+        assert all("error" not in r for r in lines)
+
+    def test_stop_drops_a_peer_that_stopped_reading(self, monkeypatch):
+        """A stop cannot hang on a client that no longer reads: after
+        the drain timeout its connection is dropped."""
+        monkeypatch.setattr(framing, "DRAIN_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            handled = asyncio.Event()
+
+            def open_connection(conn):
+                async def handle(_text):
+                    # More than the socket buffers hold: the send blocks.
+                    conn.spawn(conn.send("x" * (8 << 20)))
+                    handled.set()
+                return handle
+
+            loop = asyncio.get_running_loop()
+            ready = asyncio.Event()
+            stop = asyncio.Event()
+            bound = []
+            task = loop.create_task(framing.serve_jsonl(
+                open_connection, "127.0.0.1", 0, stop, "test",
+                announce=lambda _msg: None, ready=ready,
+                on_bound=lambda _host, port: bound.append(port)))
+            await asyncio.wait_for(ready.wait(), timeout=5)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            try:
+                await loop.sock_connect(sock, ("127.0.0.1", bound[0]))
+                await loop.sock_sendall(sock, b'{"go": 1}\n')
+                await asyncio.wait_for(handled.wait(), timeout=5)
+                stop.set()
+                await asyncio.wait_for(task, timeout=10)
+            finally:
+                sock.close()
+
+        asyncio.run(scenario())
+
+
+class TestControlOps:
+    """The shard control plane, registered in-process."""
+
+    def test_ops_answer_in_frame_order(self, registry, cue_pool):
+        from repro.serving.sharding import _control_ops
+
+        request = ServeRequest(request_id=3, cues=cue_pool[0])
+
+        async def scenario():
+            service = InferenceService(registry)
+            stop = asyncio.Event()
+            task, stop, port = await _start_endpoint(
+                service, stop=stop,
+                control=_control_ops(service, registry, stop))
+            replies = await _round_trip(port, [
+                {"ctl": "ping"}, {"ctl": "stats"}, {"ctl": "activate"},
+                {"ctl": "activate", "version": 9}, {"ctl": "nope"},
+                json.loads(request.to_json())])
+            drained = await _round_trip(port, [{"ctl": "drain"}])
+            await asyncio.wait_for(task, timeout=10)
+            return replies, drained
+
+        replies, drained = asyncio.run(scenario())
+        ping, stats, no_version, bad_version, unknown, answer = replies
+        assert ping == {"ctl": "ping", "ok": True}
+        assert stats["stats"]["active_version"] == 1
+        assert no_version == {"ctl": "activate", "ok": False,
+                              "error": "KeyError: 'version'"}
+        assert bad_version["ok"] is False
+        assert unknown == {"ctl": "nope", "ok": False,
+                           "error": "unknown control op 'nope'"}
+        assert answer["id"] == 3 and "error" not in answer
+        assert drained == [{"ctl": "drain", "ok": True}]
+
+    def test_public_endpoint_rejects_control_frames(self, registry):
+        async def scenario():
+            task, stop, port = await _start_endpoint(
+                InferenceService(registry))
+            replies = await _round_trip(port, [{"ctl": "drain"}])
+            stop.set()
+            await asyncio.wait_for(task, timeout=10)
+            return replies
+
+        replies = asyncio.run(scenario())
+        assert len(replies) == 1
+        assert replies[0]["error"].startswith("bad request")

@@ -237,6 +237,9 @@ class TestServeCommand:
     def test_bad_listen_spec(self, capsys):
         assert main(["serve", "--listen", "nope"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+        # Out-of-range port: rejected before any model is trained.
+        assert main(["serve", "--listen", "127.0.0.1:70000"]) == 2
+        assert "HOST:PORT" in capsys.readouterr().err
 
     def test_stdio_sharded_round_trip(self, capsys, monkeypatch,
                                       experiment):
@@ -281,6 +284,8 @@ class TestLoadgenCommand:
 
     def test_bad_connect_spec(self, capsys):
         assert main(["loadgen", "--connect", "nope"]) == 2
+        assert "HOST:PORT" in capsys.readouterr().err
+        assert main(["loadgen", "--connect", "127.0.0.1:70000"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
 
