@@ -13,13 +13,6 @@ sheds, demonstrating the ε load-shedding path under honest open-loop
 pressure.  Every run lands in ``BENCH_serving.json`` at the repo root
 (throughput, exact latency percentiles, shed rate), diffable across
 PRs like ``BENCH_throughput.json``.
-
-The **shard sweep** additionally drives the sharded tier
-(:mod:`repro.serving.sharding`) at fleet sizes 1/2/4 under a saturating
-arrival rate, recording aggregate throughput per fleet size.  The ≥3x
-scaling gate at 4 shards only means something with 4 cores to scale
-onto, so it is *skipped* — never faked — on smaller machines (the
-``environment.cpu_count`` field in the report says which happened).
 """
 
 from __future__ import annotations
@@ -35,9 +28,7 @@ import pytest
 from repro.core.degradation import DegradationPolicy
 from repro.core.persistence import QualityPackage
 from repro.serving import (InferenceService, LoadgenConfig, ModelRegistry,
-                           ServingConfig, ShardArtifact, ShardedService,
-                           ShardingConfig, run_loadgen,
-                           serve_requests, serve_sharded_requests)
+                           ServingConfig, run_loadgen)
 
 #: Requests per swept configuration (seeded; arrival process included).
 N_REQUESTS = 300
@@ -51,14 +42,6 @@ WORKERS = (1, 2)
 #: Overload run: a deliberately tiny admission queue at a hot rate.
 SHED_QUEUE = 8
 SHED_RATE_HZ = 20000.0
-
-#: Shard sweep: fleet sizes under a saturating arrival rate.  The queue
-#: holds the whole workload so throughput is service-limited (capacity),
-#: not arrival-limited, and nothing sheds.
-SHARD_COUNTS = (1, 2, 4)
-SHARD_RATE_HZ = 50000.0
-SHARD_N_STREAMS = 16
-SCALING_GATE_AT_4 = 3.0
 
 
 def _report_path() -> Path:
@@ -75,8 +58,7 @@ class ServingReporter:
     def __init__(self) -> None:
         self.runs: List[Dict[str, object]] = []
 
-    def add(self, kind: str, config: ServingConfig, report,
-            extra: Dict[str, object] = None) -> None:
+    def add(self, kind: str, config: ServingConfig, report) -> None:
         row: Dict[str, object] = {
             "kind": kind,
             "deadline_ms": config.deadline_s * 1e3,
@@ -85,16 +67,7 @@ class ServingReporter:
             "queue_capacity": config.queue_capacity,
         }
         row.update(report.as_dict())
-        if extra:
-            row.update(extra)
         self.runs.append(row)
-
-    def throughput_of(self, kind: str, **match) -> float:
-        for row in self.runs:
-            if row["kind"] == kind and all(row.get(k) == v
-                                           for k, v in match.items()):
-                return float(row["throughput_rps"])
-        raise KeyError(f"no {kind!r} run matching {match}")
 
     def write(self, path: Path) -> Path:
         document = {
@@ -125,14 +98,6 @@ def registry(experiment):
     reg.publish_and_activate(package, classifier=experiment.classifier,
                              tag="bench")
     return reg
-
-
-@pytest.fixture(scope="module")
-def artifact(experiment):
-    package = QualityPackage.from_calibration(
-        experiment.augmented.quality, experiment.calibration)
-    return ShardArtifact(package=package,
-                         classifier=experiment.classifier, tag="bench")
 
 
 def _run(registry, cue_pool, serving_config, n_requests=N_REQUESTS,
@@ -184,61 +149,3 @@ def test_overload_sheds_but_answers_everything(registry, experiment,
     assert out.n_shed > 0
     # Shed responses carry the paper's error state, not a fabricated q.
     assert out.n_responses == N_REQUESTS
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_shard_count_sweep(artifact, experiment, serving_report, report,
-                           n_shards):
-    """Aggregate throughput per fleet size at a saturating rate.
-
-    The queue holds the entire workload, so nothing sheds and
-    throughput measures fleet capacity.  Startup (process spawn) is
-    excluded from the timed window by ``run_loadgen``.
-    """
-    serving = ServingConfig(queue_capacity=N_REQUESTS, max_batch=32,
-                            deadline_s=0.002)
-    sharding = ShardingConfig(n_shards=n_shards, serving=serving)
-    config = LoadgenConfig(n_requests=N_REQUESTS, rate_hz=SHARD_RATE_HZ,
-                           seed=SEED, n_streams=SHARD_N_STREAMS)
-    out = run_loadgen(lambda: ShardedService(artifact, config=sharding),
-                      config, experiment.material.analysis.cues)
-    serving_report.add("shard-sweep", serving, out,
-                       extra={"n_shards": n_shards})
-    report.row("serving", f"shards={n_shards}", "-",
-               f"{out.throughput_rps:.0f} rps aggregate, "
-               f"p95={out.latency_p95_s * 1e3:.2f}ms")
-    assert out.n_unanswered == 0
-    assert out.n_shed == 0
-    assert out.n_responses == N_REQUESTS
-    assert out.versions_seen == (1,)
-
-
-def test_sharded_responses_bit_identical(artifact, registry, experiment,
-                                         report):
-    """The bench workload answers identically sharded and direct."""
-    config = LoadgenConfig(n_requests=60, rate_hz=SHARD_RATE_HZ,
-                           seed=SEED, n_streams=SHARD_N_STREAMS)
-    from repro.serving import make_workload
-    requests, _ = make_workload(config,
-                                experiment.material.analysis.cues)
-    direct = serve_requests(registry, requests)
-    sharded = serve_sharded_requests(
-        artifact, requests, config=ShardingConfig(n_shards=2))
-    assert [r.key() for r in sharded] == [r.key() for r in direct]
-    report.row("serving", "sharded-vs-direct", "bit-identical",
-               f"{len(requests)} requests, 2 shards")
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 4,
-                    reason="scaling gate needs >= 4 cores; "
-                           "skipped (not faked) on smaller machines")
-def test_four_shard_scaling_gate(serving_report):
-    """>= 3x aggregate throughput at 4 shards vs 1 (multi-core only).
-
-    Depends on the sweep rows recorded by ``test_shard_count_sweep``.
-    """
-    one = serving_report.throughput_of("shard-sweep", n_shards=1)
-    four = serving_report.throughput_of("shard-sweep", n_shards=4)
-    assert four >= SCALING_GATE_AT_4 * one, (
-        f"4-shard fleet reached only {four:.0f} rps vs {one:.0f} rps "
-        f"single-shard ({four / one:.2f}x < {SCALING_GATE_AT_4}x)")

@@ -121,8 +121,8 @@ def _parse_listen(value: str) -> "tuple[str, int]":
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import signal
 
+    from ..serving.framing import stop_on_signals
     from .broker import BrokerCore, BusConfig
     from .server import serve_bus
 
@@ -130,10 +130,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = BusConfig(n_partitions=args.partitions, credits=args.credits)
 
     async def _serve(core: BrokerCore) -> None:
-        # A graceful SIGINT, also in the background where shells ignore it.
         stop = asyncio.Event()
-        asyncio.get_running_loop().add_signal_handler(signal.SIGINT,
-                                                      stop.set)
+        stop_on_signals(stop)
         await serve_bus(core, host, port, stop=stop,
                         tick_interval_s=args.tick_ms / 1e3)
 

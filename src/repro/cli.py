@@ -16,10 +16,9 @@ Usage::
                                [--listen HOST:PORT] [--max-batch N]
                                [--deadline-ms F] [--queue-capacity N]
                                [--policy POLICY] [--max-requests N]
-                               [--shards N] [--vnodes N]
     python -m repro loadgen    [--connect HOST:PORT] [--n-requests N]
-                               [--rate HZ] [--n-streams N]
-                               [--report BENCH.json] [--expect-complete]
+                               [--rate HZ] [--report BENCH.json]
+                               [--expect-complete]
     python -m repro trace      [--metrics-out TRACE.json] COMMAND [ARGS...]
     python -m repro verify     [--seeds N N ...] [--stage STAGE]
                                [--fuzz-cases N] [--update-golden]
@@ -39,9 +38,8 @@ the runs out over the ``thread``/``process`` execution backends
 intensity grid and reports the with/without-CQM degradation curves under
 a chosen ε-policy; ``serve`` runs the micro-batching inference service
 over a trained quality package, reading JSONL requests from stdin (the
-default) or a TCP socket (``--listen``) — with ``--shards N`` the
-service becomes a consistent-hash router over N shard processes that
-share the model artifact through shared memory; ``loadgen`` drives a
+default) or a TCP socket (``--listen``, stopped gracefully by SIGINT
+or SIGTERM); ``loadgen`` drives a
 seeded open-loop workload against an in-process service (default) or a
 running ``serve --listen`` endpoint (``--connect``) and prints throughput,
 latency percentiles and the shed rate; ``trace`` runs any other command
@@ -173,11 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-requests", type=int, default=None,
                        metavar="N",
                        help="socket mode: drain and exit after N requests")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="run N shard processes behind a "
-                            "consistent-hash router (0: single process)")
-    serve.add_argument("--vnodes", type=int, default=64, metavar="N",
-                       help="virtual nodes per shard on the hash ring")
 
     ver = sub.add_parser(
         "verify",
@@ -206,9 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--connect", metavar="HOST:PORT", default=None,
                      help="drive a running 'serve --listen' endpoint "
                           "(default: an in-process service)")
-    gen.add_argument("--n-streams", type=int, default=None, metavar="N",
-                     help="tag requests with N synthetic appliance "
-                          "stream keys (what a sharded router hashes on)")
     gen.add_argument("--report", metavar="REPORT.json", default=None,
                      help="append this run to a JSON report document")
     gen.add_argument("--expect-complete", action="store_true",
@@ -395,19 +385,17 @@ def _serving_config(args: argparse.Namespace) -> "object":
                          n_workers=args.serve_workers)
 
 
-def _build_artifacts(args: argparse.Namespace) -> "object":
-    """Train or load the model triple behind ``serve``/``loadgen``.
+def _build_registry(args: argparse.Namespace) -> "object":
+    """Train or load the model behind ``serve``/``loadgen``.
 
     With ``--package`` the saved quality package is served as-is and
     only the classifier is (re)trained from the seed; otherwise the
     whole pipeline runs once and the freshly calibrated package is used.
-    Returns ``(artifact, material)`` where *artifact* is the
-    :class:`~repro.serving.shm.ShardArtifact` every deployment shape
-    (single process, sharded fleet) starts from.
+    Returns ``(registry, material)`` with the model published and active.
     """
     from .datasets.generator import make_awarepen_material
     from .experiment import train_default_classifier
-    from .serving import ShardArtifact
+    from .serving import ModelRegistry
 
     package_path = getattr(args, "package", None)
     if package_path:
@@ -422,31 +410,26 @@ def _build_artifacts(args: argparse.Namespace) -> "object":
         material = result.material
         classifier = result.classifier
         tag = f"trained:seed={args.seed}"
-    return ShardArtifact(package=package, classifier=classifier,
-                         tag=tag), material
-
-
-def _build_registry(args: argparse.Namespace) -> "object":
-    """Assemble the versioned registry behind ``serve``/``loadgen``."""
-    from .serving import ModelRegistry
-
-    artifact, material = _build_artifacts(args)
     registry = ModelRegistry()
-    registry.publish_and_activate(artifact.package,
-                                  classifier=artifact.classifier,
-                                  tag=artifact.tag)
+    registry.publish_and_activate(package, classifier=classifier, tag=tag)
     return registry, material
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .exceptions import ConfigurationError
     from .serving import serve_socket, serve_stdio
-    from .serving.framing import parse_host_port
+    from .serving.framing import parse_host_port, stop_on_signals
 
-    config = _serving_config(args)
-    if args.shards < 0:
-        print(f"--shards must be >= 0, got {args.shards}", file=sys.stderr)
+    try:
+        config = _serving_config(args)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if args.max_requests is not None and args.max_requests < 1:
+        print(f"--max-requests must be >= 1, got {args.max_requests}",
+              file=sys.stderr)
         return 2
     if args.listen is not None:
         try:
@@ -454,45 +437,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"--listen {exc}", file=sys.stderr)
             return 2
-    if args.shards:
-        from .serving import ShardingConfig, serve_sharded_socket
-        from .serving.sharding import serve_sharded_requests
-        from .serving.transport import read_requests
-
-        artifact, _ = _build_artifacts(args)
-        sharding = ShardingConfig(n_shards=args.shards,
-                                  vnodes=args.vnodes, serving=config)
-        if args.listen is None:
-            requests = read_requests(sys.stdin)
-            responses = serve_sharded_requests(artifact, requests,
-                                               config=sharding)
-            for response in responses:
-                sys.stdout.write(response.to_json() + "\n")
-            print(f"served {len(responses)} requests "
-                  f"({args.shards} shards)", file=sys.stderr)
-            return 0
-        asyncio.run(serve_sharded_socket(artifact, host, port,
-                                         config=sharding,
-                                         max_requests=args.max_requests))
-        return 0
     registry, _ = _build_registry(args)
     if args.listen is None:
         n = serve_stdio(registry, sys.stdin, sys.stdout, config=config)
         print(f"served {n} requests", file=sys.stderr)
         return 0
-    asyncio.run(serve_socket(registry, host, port, config=config,
-                             max_requests=args.max_requests))
+
+    async def _serve() -> None:
+        stop = asyncio.Event()
+        stop_on_signals(stop)
+        await serve_socket(registry, host, port, config=config, stop=stop,
+                           max_requests=args.max_requests)
+
+    asyncio.run(_serve())
     return 0
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .datasets.generator import make_awarepen_material
+    from .exceptions import ConfigurationError
     from .serving import (InferenceService, LoadgenConfig, run_loadgen,
                           run_loadgen_socket)
     from .serving.framing import parse_host_port
 
-    config = LoadgenConfig(n_requests=args.n_requests, rate_hz=args.rate,
-                           seed=args.seed, n_streams=args.n_streams)
+    try:
+        config = LoadgenConfig(n_requests=args.n_requests,
+                               rate_hz=args.rate, seed=args.seed)
+        serving_config = _serving_config(args)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.connect is not None:
         try:
             host, port = parse_host_port(args.connect)
@@ -503,7 +477,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         report = run_loadgen_socket(host, port, config, cue_pool)
     else:
         registry, material = _build_registry(args)
-        serving_config = _serving_config(args)
         report = run_loadgen(
             lambda: InferenceService(registry, config=serving_config),
             config, material.analysis.cues)

@@ -10,7 +10,7 @@ micro-batch coalescing onto the batched hot paths, a stateful
 :class:`~repro.core.degradation.GracefulDegrader` at the response
 boundary, atomic hot-swap of re-calibrated packages and graceful drain.
 
-Eight pieces:
+Seven pieces:
 
 * :mod:`~repro.serving.protocol` — request/response records + JSONL wire
   format;
@@ -21,15 +21,10 @@ Eight pieces:
   (:func:`~repro.serving.loadgen.run_loadgen`) feeding
   ``benchmarks/bench_serving.py`` → ``BENCH_serving.json``;
 * :mod:`~repro.serving.framing` — the one JSONL server core (listener,
-  hardened frame loop, drain) under ``repro serve``, the shard
-  processes and the ``repro bus serve`` broker;
+  hardened frame loop, drain) under ``repro serve`` and the
+  ``repro bus serve`` broker;
 * :mod:`~repro.serving.transport` — stdio/TCP adapters behind
-  ``repro serve`` and ``repro loadgen --connect``;
-* :mod:`~repro.serving.shm` + :mod:`~repro.serving.sharding` — the
-  horizontal tier: model artifacts published once into shared memory, a
-  consistent-hash router (``repro serve --shards N``) over
-  shard-per-process replicas with a coordinated fleet-wide hot-swap
-  barrier.
+  ``repro serve`` and ``repro loadgen --connect``.
 
 Everything is observable (``serving.*`` metrics, ``serving.batch``
 spans) and bit-identical to the direct pipeline — see
@@ -42,10 +37,6 @@ from .loadgen import (LoadgenConfig, LoadgenReport, make_workload,
 from .protocol import ServeRequest, ServeResponse
 from .registry import ModelRegistry, VersionedModel
 from .service import (InferenceService, ServingConfig, serve_requests)
-from .sharding import (HashRing, ShardedService, ShardingConfig,
-                       serve_sharded_requests, serve_sharded_socket)
-from .shm import (ShardArtifact, ShmHandle, load_artifact,
-                  publish_artifact, unlink_artifact)
 from .transport import read_requests, serve_socket, serve_stdio
 
 __all__ = [
@@ -56,8 +47,4 @@ __all__ = [
     "LoadgenConfig", "LoadgenReport", "make_workload", "run_loadgen",
     "run_loadgen_socket", "summarize",
     "read_requests", "serve_stdio", "serve_socket",
-    "HashRing", "ShardedService", "ShardingConfig",
-    "serve_sharded_requests", "serve_sharded_socket",
-    "ShardArtifact", "ShmHandle", "publish_artifact", "load_artifact",
-    "unlink_artifact",
 ]

@@ -1,5 +1,5 @@
-"""The one JSONL server core behind ``repro serve``, its shard processes
-and the ``repro bus serve`` broker.
+"""The one JSONL server core behind ``repro serve`` and the
+``repro bus serve`` broker.
 
 :func:`serve_jsonl` owns the listener, the per-connection frame loop and
 the drain; an endpoint supplies only its frame semantics.  Hardening:
@@ -13,7 +13,9 @@ the drain; an endpoint supplies only its frame semantics.  Hardening:
   written to the dead socket.
 
 On stop the listener closes and each open connection stops reading at a
-frame boundary, finishes its in-flight work and gets EOF.
+frame boundary, finishes its in-flight work and gets EOF.  The CLIs wire
+SIGINT and SIGTERM to that stop (:func:`stop_on_signals`); the core
+itself installs no signal handlers.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import signal
 from typing import (AsyncIterator, Awaitable, Callable, Coroutine, Dict,
                     List, Set, Tuple, Union)
 
@@ -38,6 +41,18 @@ def parse_host_port(value: str) -> Tuple[str, int]:
     if not host or not port.isdigit() or int(port) > 65535:
         raise ValueError(f"expects HOST:PORT (port 0-65535), got {value!r}")
     return host, int(port)
+
+
+def stop_on_signals(stop: "asyncio.Event") -> None:
+    """Make SIGINT and SIGTERM set *stop* on the running loop.
+
+    The loop's handlers replace any inherited disposition, so a server
+    started in the background (where shells ignore SIGINT) still stops
+    gracefully on either signal.
+    """
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(signum, stop.set)
 
 
 def _announce(message: str) -> None:

@@ -42,7 +42,6 @@ class LoadgenConfig:
     rate_hz: float = 2000.0
     seed: int = 7
     with_class_index: bool = False
-    n_streams: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:
@@ -51,9 +50,6 @@ class LoadgenConfig:
         if self.rate_hz <= 0.0:
             raise ConfigurationError(
                 f"rate_hz must be > 0, got {self.rate_hz}")
-        if self.n_streams is not None and self.n_streams < 1:
-            raise ConfigurationError(
-                f"n_streams must be >= 1, got {self.n_streams}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,7 +101,6 @@ class LoadgenReport:
             "n_requests": self.config.n_requests,
             "rate_hz": self.config.rate_hz,
             "seed": self.config.seed,
-            "n_streams": self.config.n_streams,
             "n_sent": self.n_sent,
             "n_responses": self.n_responses,
             "n_unanswered": self.n_unanswered,
@@ -151,10 +146,7 @@ def make_workload(config: LoadgenConfig, cue_pool: np.ndarray,
 
     Cue vectors are drawn with replacement from *cue_pool*; when the
     workload carries class indices they are drawn from *class_pool* row
-    for row.  With ``n_streams`` set, each request additionally carries
-    a seeded ``stream_key`` drawn from that many synthetic appliance
-    identities — the workload shape the sharded router hashes on.
-    Everything depends only on ``config.seed``.
+    for row.  Everything depends only on ``config.seed``.
     """
     cue_pool = np.asarray(cue_pool, dtype=float)
     if cue_pool.ndim != 2 or cue_pool.shape[0] == 0:
@@ -164,8 +156,6 @@ def make_workload(config: LoadgenConfig, cue_pool: np.ndarray,
     rows = rng.integers(0, cue_pool.shape[0], size=config.n_requests)
     arrivals = np.cumsum(rng.exponential(1.0 / config.rate_hz,
                                          size=config.n_requests))
-    streams = (rng.integers(0, config.n_streams, size=config.n_requests)
-               if config.n_streams is not None else None)
     requests = []
     for k, row in enumerate(rows):
         class_index: Optional[int] = None
@@ -174,11 +164,8 @@ def make_workload(config: LoadgenConfig, cue_pool: np.ndarray,
                 raise ConfigurationError(
                     "with_class_index=True needs a class_pool")
             class_index = int(np.asarray(class_pool).ravel()[int(row)])
-        stream_key = (None if streams is None
-                      else f"stream-{int(streams[k])}")
         requests.append(ServeRequest(request_id=k, cues=cue_pool[int(row)],
-                                     class_index=class_index,
-                                     stream_key=stream_key))
+                                     class_index=class_index))
     return requests, arrivals
 
 
@@ -227,8 +214,7 @@ async def drive_service(service: InferenceService,
             await asyncio.sleep(delay)
         tasks.append(asyncio.get_running_loop().create_task(
             service.submit(request.cues, class_index=request.class_index,
-                           request_id=request.request_id,
-                           key=request.stream_key)))
+                           request_id=request.request_id)))
     return list(await asyncio.gather(*tasks))
 
 
@@ -237,14 +223,11 @@ def run_loadgen(service_factory, config: LoadgenConfig,
                 class_pool: Optional[np.ndarray] = None) -> LoadgenReport:
     """Run one seeded open-loop load test against an in-process service.
 
-    *service_factory* is a zero-argument callable building the (started
-    or startable) service — an :class:`InferenceService` or a
-    :class:`~repro.serving.sharding.ShardedService` — constructed inside
-    the event loop so its queues bind to the right loop.  The timed
-    window covers submissions and their responses only: startup (which
-    for a sharded fleet includes spawning the shard processes) and
-    teardown are excluded, so throughput numbers compare fairly across
-    deployment shapes.
+    *service_factory* is a zero-argument callable building the service
+    (an :class:`InferenceService`, or a stand-in with its ``async with``
+    and ``submit`` surface), constructed inside the event loop so its
+    queues bind to the right loop.  The timed window covers submissions
+    and their responses only: startup and teardown are excluded.
     """
     requests, arrivals = make_workload(config, cue_pool, class_pool)
 

@@ -49,11 +49,9 @@ class ServeRequest:
         Optional externally produced class identifier ``c``; when
         ``None`` the service's registered classifier predicts it.
     stream_key:
-        Optional stable stream identity (appliance id, user id).  The
-        sharded router consistent-hashes it so every request of one
-        stream lands on the same shard (and therefore the same stateful
-        ε-gate); without it, routing falls back to the request id.  The
-        single-process service ignores it.
+        Optional stable stream identity (appliance id, user id).  It is
+        validated and round-trips on the wire; the service does not
+        route on it.
     """
 
     request_id: int

@@ -34,7 +34,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -64,10 +63,9 @@ class ServingConfig:
     policy:
         ε-degradation policy of the response gate.
     n_workers:
-        Concurrent batch-processing tasks.  With the default ``1`` the
-        gate order equals arrival order exactly; more workers overlap
-        model compute (pair with ``executor``) at the cost of
-        batch-completion-order gating.
+        Concurrent batch-collecting tasks on the event loop.  With the
+        default ``1`` the gate order equals arrival order exactly; with
+        more, batches are gated in completion order.
     poll_s:
         Idle worker wake-up period used to notice a drain request.
     """
@@ -124,23 +122,17 @@ class InferenceService:
         active model's calibrated threshold and ``config.policy``, and
         its threshold *follows* the active model across hot-swaps; a
         caller-supplied degrader keeps its own threshold pinned.
-    executor:
-        Optional thread pool; when given, the numpy model compute of
-        each batch runs there instead of on the event loop, letting
-        ``n_workers > 1`` overlap batches.
     """
 
     def __init__(self, registry: ModelRegistry,
                  config: ServingConfig = ServingConfig(),
-                 degrader: Optional[GracefulDegrader] = None,
-                 executor: Optional[ThreadPoolExecutor] = None) -> None:
+                 degrader: Optional[GracefulDegrader] = None) -> None:
         model = registry.current()  # fails loudly on an empty registry
         self._registry = registry
         self._config = config
         self._pin_threshold = degrader is not None
         self._degrader = degrader if degrader is not None else (
             model.make_degrader(config.policy))
-        self._executor = executor
         self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue(
             maxsize=config.queue_capacity)
         self._workers: List["asyncio.Task[None]"] = []
@@ -199,16 +191,11 @@ class InferenceService:
     async def submit(self, cues: np.ndarray,
                      class_index: Optional[int] = None,
                      request_id: Optional[int] = None,
-                     wait: bool = False,
-                     key: Optional[str] = None) -> ServeResponse:
+                     wait: bool = False) -> ServeResponse:
         """Serve one request; resolves when its micro-batch completes.
 
         ``wait=False`` (open loop) sheds immediately on a full queue;
         ``wait=True`` (closed loop) applies backpressure instead.
-        ``key`` is the stream-routing identity the sharded tier hashes
-        on (:class:`~repro.serving.sharding.ShardedService` shares this
-        signature); a single-process service has nothing to route, so
-        it is accepted and ignored.
         """
         request = ServeRequest(
             request_id=self.n_submitted if request_id is None
@@ -279,23 +266,18 @@ class InferenceService:
                 continue
             batch = await extend_batch(self._queue, batching, [first])
             try:
-                await self._process_batch(batch)
+                self._process_batch(batch)
             except Exception as exc:  # noqa: BLE001 - fail the batch, not the service
                 obs.inc("serving.batch_errors_total")
                 for pending in batch:
                     if not pending.future.done():
                         pending.future.set_exception(exc)
 
-    async def _process_batch(self, batch: List[_Pending]) -> None:
+    def _process_batch(self, batch: List[_Pending]) -> None:
         model = self._registry.current()
         cues = np.vstack([p.request.cues for p in batch])
         given = [p.request.class_index for p in batch]
-        if self._executor is not None:
-            loop = asyncio.get_running_loop()
-            indices, qualities = await loop.run_in_executor(
-                self._executor, _batch_compute, model, cues, given)
-        else:
-            indices, qualities = _batch_compute(model, cues, given)
+        indices, qualities = _batch_compute(model, cues, given)
         # Gate + resolve synchronously (no awaits): the stateful degrader
         # sees decisions in exact batch order even with several workers.
         now = time.perf_counter()

@@ -4,20 +4,16 @@
   write the responses in request order;
 * **socket** — the serving frame semantics on the shared server core
   (:func:`~repro.serving.framing.serve_jsonl`): each line is an
-  open-loop submission, answered when its micro-batch completes.
-
-Only shard processes (:mod:`repro.serving.sharding`) register a
-``control`` op table, answering ``ctl`` frames inline, in frame order.
-Elsewhere a ``ctl`` frame is just a bad request.
+  open-loop submission, answered when its micro-batch completes.  A
+  frame that does not parse as a request (a ``ctl`` frame included)
+  gets a ``bad request`` error reply.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import inspect
-import json
-from typing import Callable, Dict, IO, List, Mapping, Optional
+from typing import IO, List, Optional
 
 from ..exceptions import ConfigurationError
 from .framing import Connection, _announce, serve_jsonl
@@ -47,13 +43,12 @@ def serve_stdio(registry: ModelRegistry, stream_in: IO[str],
     return len(responses)
 
 
-async def _respond(service, conn: Connection,
+async def _respond(service: InferenceService, conn: Connection,
                    request: ServeRequest) -> None:
     try:
         response = await service.submit(request.cues,
                                         class_index=request.class_index,
-                                        request_id=request.request_id,
-                                        key=request.stream_key)
+                                        request_id=request.request_id)
     except Exception as exc:  # noqa: BLE001 - report, keep the connection
         await conn.send({"id": request.request_id,
                          "error": type(exc).__name__,
@@ -62,17 +57,9 @@ async def _respond(service, conn: Connection,
     await conn.send(response.to_json())
 
 
-async def _handle_request(service, control: Optional[Mapping[str, Callable]],
-                          conn: Connection, text: str) -> None:
+async def _handle_request(service: InferenceService, conn: Connection,
+                          text: str) -> None:
     """Frame semantics of a serving connection: one request per line."""
-    if control is not None:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            doc = None
-        if isinstance(doc, dict) and "ctl" in doc:
-            await conn.send(_control_reply(control, doc))
-            return
     try:
         request = ServeRequest.from_json(text)
     except ConfigurationError as exc:
@@ -81,46 +68,21 @@ async def _handle_request(service, control: Optional[Mapping[str, Callable]],
     conn.spawn(_respond(service, conn, request))
 
 
-def _control_reply(control: Mapping[str, Callable],
-                   doc: Dict[str, object]) -> Dict[str, object]:
-    """Run one control op; a failure is an ``ok=false`` reply, not an EOF."""
-    op = doc["ctl"]
-    run = control.get(op) if isinstance(op, str) else None
-    if run is None:
-        return {"ctl": op, "ok": False,
-                "error": f"unknown control op {op!r}"}
-    try:
-        return {"ctl": op, "ok": True, **run(doc)}
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
-        return {"ctl": op, "ok": False,
-                "error": f"{type(exc).__name__}: {exc}"}
-
-
-async def serve_connections(service, host: str, port: int,
+async def serve_connections(service: InferenceService, host: str, port: int,
                             describe: str = "",
                             ready: Optional["asyncio.Event"] = None,
                             stop: Optional["asyncio.Event"] = None,
                             max_requests: Optional[int] = None,
-                            announce=_announce,
-                            control: Optional[Mapping[str, Callable]] = None,
-                            on_bound: Optional[Callable[[str, int], None]]
-                            = None) -> None:
+                            announce=_announce) -> None:
     """Run the JSONL TCP endpoint over an already-built service.
 
-    Serves ``repro serve`` (:func:`serve_socket`), the sharded router and
-    each shard process, which passes its *control* op table (op name →
-    ``doc -> reply fields``) and learns its OS-assigned port through
-    *on_bound*.  *service* needs the :class:`~repro.serving.service.
-    InferenceService` surface: ``start``/``drain``, ``submit`` and the
-    ``n_completed``/``n_shed``/``in_flight`` counters.  *ready* is set
-    once listening; with *max_requests* the server retires once that
-    many requests have resolved (answered or shed).  On stop every open
-    connection is answered and closed, then the service drains.
+    *ready* is set once listening; with *max_requests* the server
+    retires once that many requests have resolved (answered or shed).
+    On stop every open connection is answered and closed, then the
+    service drains.
     """
     stop = stop if stop is not None else asyncio.Event()
-    started = service.start()
-    if inspect.isawaitable(started):
-        await started
+    service.start()
 
     async def _retire() -> None:
         while service.n_completed + service.n_shed < max_requests:
@@ -131,10 +93,9 @@ async def serve_connections(service, host: str, port: int,
                if max_requests is not None else None)
     try:
         await serve_jsonl(
-            lambda conn: functools.partial(_handle_request, service,
-                                           control, conn),
+            lambda conn: functools.partial(_handle_request, service, conn),
             host, port, stop, "serving", describe, announce=announce,
-            ready=ready, on_bound=on_bound)
+            ready=ready)
     finally:
         if watcher is not None:
             watcher.cancel()

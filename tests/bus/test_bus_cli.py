@@ -9,6 +9,8 @@ from repro.bus.drill import scripted_pen_events
 from repro.bus.replay import RunMeta
 from repro.cli import main
 
+from ..conftest import read_until
+
 
 def make_log(path, n=12, seed=3):
     config = BusConfig(n_partitions=1, fsync_every=1)
@@ -88,3 +90,26 @@ class TestParser:
             main(["bus", "serve", "--log-dir", str(tmp_path),
                   "--listen", "127.0.0.1:70000"])
         assert exc.value.code == 2
+
+
+class TestBusServe:
+    def test_sigterm_syncs_every_acknowledged_publish(self, capsys,
+                                                      repro_process,
+                                                      tmp_path):
+        import signal
+
+        from repro.bus.log import EventLog
+
+        proc = repro_process("bus", "serve", "--log-dir", str(tmp_path),
+                             "--listen", "127.0.0.1:0")
+        announce = read_until(proc.stdout, "bus broker on")
+        address = announce.split()[3]
+        assert main(["bus", "publish", "--connect", address,
+                     "--n-events", "50"]) == 0
+        assert "offset=" in capsys.readouterr().out
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0, out
+        assert "bus broker stopped: 50 published" in out
+        with EventLog(tmp_path) as log:
+            assert len(list(log.read())) == 50

@@ -6,6 +6,12 @@ session-scoped so the integration-heavy tests do not regenerate them.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +32,46 @@ def experiment(material):
     """End-to-end experiment result shared across tests."""
     return run_awarepen_experiment(material=material,
                                    config=ConstructionConfig())
+
+
+@pytest.fixture
+def repro_process():
+    """Start ``python -m repro ARGS...`` as a child process.
+
+    The child's stdout and stderr arrive merged on ``proc.stdout``
+    (text, line-buffered).  A watchdog kills a child that outlives
+    ``timeout_s``, so a blocked read of its output ends at EOF instead
+    of hanging the suite; a child still running at teardown is killed.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    started = []
+
+    def start(*args: str, timeout_s: float = 120.0
+              ) -> "subprocess.Popen[str]":
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *args], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, bufsize=1)
+        watchdog = threading.Timer(timeout_s, proc.kill)
+        watchdog.start()
+        started.append((proc, watchdog))
+        return proc
+
+    yield start
+    for proc, watchdog in started:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+
+
+def read_until(stream, prefix: str) -> str:
+    """Return the first line of *stream* starting with *prefix*."""
+    for line in stream:
+        if line.startswith(prefix):
+            return line
+    raise AssertionError(f"stream ended before a {prefix!r} line")
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Loadgen reporting: workload shaping and honest empty-run summaries.
+"""Loadgen reporting: honest empty-run summaries.
 
 Regression focus: a run whose every request was shed (or never
 answered) has **no** served latencies.  The percentile math must not
@@ -11,13 +11,10 @@ import asyncio
 import json
 
 import numpy as np
-import pytest
 
 from repro.core.degradation import GateAction
-from repro.exceptions import ConfigurationError
 from repro.serving import (InferenceService, LoadgenConfig, ServeResponse,
-                           ServingConfig, make_workload, run_loadgen,
-                           summarize)
+                           ServingConfig, run_loadgen, summarize)
 
 
 class FullShedService:
@@ -38,7 +35,7 @@ class FullShedService:
         return None
 
     async def submit(self, cues, class_index=None, request_id=None,
-                     wait=False, key=None):
+                     wait=False):
         self.n_submitted += 1
         return ServeResponse(
             request_id=request_id, class_index=None, class_name=None,
@@ -101,24 +98,3 @@ class TestEmptyLatencySummaries:
         doc = json.loads(json.dumps(report.as_dict(), allow_nan=False))
         assert doc["latency_p50_ms"] > 0
         assert doc["versions_seen"] == [1]
-
-
-class TestWorkloadStreams:
-    def test_stream_keys_are_seeded_and_bounded(self, cue_pool):
-        config = LoadgenConfig(n_requests=50, n_streams=5, seed=9)
-        requests, _ = make_workload(config, cue_pool)
-        keys = {r.stream_key for r in requests}
-        assert keys <= {f"stream-{i}" for i in range(5)}
-        assert len(keys) > 1
-        again, _ = make_workload(config, cue_pool)
-        assert [r.stream_key for r in again] == [r.stream_key
-                                                 for r in requests]
-
-    def test_without_n_streams_no_keys(self, cue_pool):
-        config = LoadgenConfig(n_requests=10)
-        requests, _ = make_workload(config, cue_pool)
-        assert all(r.stream_key is None for r in requests)
-
-    def test_invalid_n_streams_rejected(self):
-        with pytest.raises(ConfigurationError, match="n_streams"):
-            LoadgenConfig(n_streams=0)

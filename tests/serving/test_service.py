@@ -252,23 +252,6 @@ class TestPolicies:
         assert degrader.threshold == 0.0
 
 
-class TestExecutor:
-    def test_thread_executor_matches_inline(self, registry, cue_pool):
-        from concurrent.futures import ThreadPoolExecutor
-
-        requests = make_requests(cue_pool, 24)
-        inline = serve_requests(registry, requests)
-
-        async def scenario(executor):
-            service = InferenceService(registry, executor=executor)
-            async with service:
-                return await service.serve_stream(requests)
-
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            threaded = run(scenario(executor))
-        assert [r.key() for r in threaded] == [r.key() for r in inline]
-
-
 class TestBatchCompute:
     def test_given_class_indices_skip_the_classifier(self, registry,
                                                      cue_pool):

@@ -306,38 +306,7 @@ class TestSocketLifecycle:
 
 
 class TestControlOps:
-    """The shard control plane, registered in-process."""
-
-    def test_ops_answer_in_frame_order(self, registry, cue_pool):
-        from repro.serving.sharding import _control_ops
-
-        request = ServeRequest(request_id=3, cues=cue_pool[0])
-
-        async def scenario():
-            service = InferenceService(registry)
-            stop = asyncio.Event()
-            task, stop, port = await _start_endpoint(
-                service, stop=stop,
-                control=_control_ops(service, registry, stop))
-            replies = await _round_trip(port, [
-                {"ctl": "ping"}, {"ctl": "stats"}, {"ctl": "activate"},
-                {"ctl": "activate", "version": 9}, {"ctl": "nope"},
-                json.loads(request.to_json())])
-            drained = await _round_trip(port, [{"ctl": "drain"}])
-            await asyncio.wait_for(task, timeout=10)
-            return replies, drained
-
-        replies, drained = asyncio.run(scenario())
-        ping, stats, no_version, bad_version, unknown, answer = replies
-        assert ping == {"ctl": "ping", "ok": True}
-        assert stats["stats"]["active_version"] == 1
-        assert no_version == {"ctl": "activate", "ok": False,
-                              "error": "KeyError: 'version'"}
-        assert bad_version["ok"] is False
-        assert unknown == {"ctl": "nope", "ok": False,
-                           "error": "unknown control op 'nope'"}
-        assert answer["id"] == 3 and "error" not in answer
-        assert drained == [{"ctl": "drain", "ok": True}]
+    """``ctl`` frames are not part of the serving protocol."""
 
     def test_public_endpoint_rejects_control_frames(self, registry):
         async def scenario():

@@ -4,6 +4,13 @@ import pytest
 
 from repro.cli import main
 
+from .conftest import read_until
+
+
+def _never_built(_args):
+    raise AssertionError("the model was built before the settings were "
+                         "checked")
+
 
 class TestExperimentCommand:
     def test_runs_and_reports(self, capsys):
@@ -241,29 +248,48 @@ class TestServeCommand:
         assert main(["serve", "--listen", "127.0.0.1:70000"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
-    def test_stdio_sharded_round_trip(self, capsys, monkeypatch,
-                                      experiment):
-        import io
+    @pytest.mark.parametrize("flags, message", [
+        (["--serve-workers", "0"], "n_workers must be >= 1"),
+        (["--max-batch", "0"], "max_batch must be >= 1"),
+        (["--deadline-ms", "-1"], "deadline_s must be >= 0"),
+        (["--queue-capacity", "0"], "queue_capacity must be >= 1"),
+        (["--listen", "127.0.0.1:0", "--max-requests", "-3"],
+         "--max-requests must be >= 1"),
+        (["--listen", "127.0.0.1:0", "--max-requests", "0"],
+         "--max-requests must be >= 1"),
+    ], ids=["serve-workers", "max-batch", "deadline-ms", "queue-capacity",
+            "max-requests-negative", "max-requests-zero"])
+    def test_invalid_setting_is_a_usage_error(self, capsys, monkeypatch,
+                                              flags, message):
+        monkeypatch.setattr("repro.cli._build_registry", _never_built)
+        assert main(["serve", *flags]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("signum", ["SIGTERM", "SIGINT"])
+    def test_signal_drains_and_exits_cleanly(self, repro_process,
+                                             experiment, signum):
         import json
+        import signal
+        import socket
 
-        cues = experiment.material.analysis.cues[:6]
-        lines = "\n".join(
-            json.dumps({"id": k, "cues": row.tolist(),
-                        "key": f"appliance-{k % 3}"})
-            for k, row in enumerate(cues))
-        monkeypatch.setattr("sys.stdin", io.StringIO(lines + "\n"))
-        assert main(["serve", "--seed", "7", "--shards", "2"]) == 0
-        captured = capsys.readouterr()
-        responses = [json.loads(line)
-                     for line in captured.out.splitlines() if line]
-        assert [r["id"] for r in responses] == list(range(6))
-        assert all(r["version"] == 1 for r in responses)
-        assert all(not r["shed"] for r in responses)
-        assert "2 shards" in captured.err
-
-    def test_negative_shards_rejected(self, capsys):
-        assert main(["serve", "--shards", "-1"]) == 2
-        assert "--shards" in capsys.readouterr().err
+        proc = repro_process("serve", "--listen", "127.0.0.1:0",
+                             "--seed", "7")
+        announce = read_until(proc.stdout, "serving on")
+        port = int(announce.split()[2].rsplit(":", 1)[1])
+        cues = experiment.material.analysis.cues[:20]
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=60) as sock:
+            sock.sendall(b"".join(
+                json.dumps({"id": k, "cues": row.tolist()}).encode()
+                + b"\n" for k, row in enumerate(cues)))
+            with sock.makefile() as replies:
+                ids = {json.loads(replies.readline())["id"]
+                       for _ in range(20)}
+        assert ids == set(range(20))
+        proc.send_signal(getattr(signal, signum))
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0, out
+        assert "drained: 20 served, 0 shed, 0 in flight" in out
 
 
 class TestLoadgenCommand:
@@ -287,6 +313,21 @@ class TestLoadgenCommand:
         assert "HOST:PORT" in capsys.readouterr().err
         assert main(["loadgen", "--connect", "127.0.0.1:70000"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--rate", "0"], "rate_hz must be > 0"),
+        (["--n-requests", "0"], "n_requests must be >= 1"),
+        (["--serve-workers", "0"], "n_workers must be >= 1"),
+        (["--max-batch", "0"], "max_batch must be >= 1"),
+        (["--deadline-ms", "-1"], "deadline_s must be >= 0"),
+        (["--queue-capacity", "0"], "queue_capacity must be >= 1"),
+    ], ids=["rate", "n-requests", "serve-workers", "max-batch",
+            "deadline-ms", "queue-capacity"])
+    def test_invalid_setting_is_a_usage_error(self, capsys, monkeypatch,
+                                              flags, message):
+        monkeypatch.setattr("repro.cli._build_registry", _never_built)
+        assert main(["loadgen", *flags]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestVerifyCommand:
