@@ -24,7 +24,7 @@ from repro.evaluation.throughput import (ThroughputReporter, best_of,
                                          default_report_path)
 from repro.fuzzy.tsk import TSKSystem
 from repro.parallel import ParallelExecutor
-from repro.sensors.cues import AWAREPEN_CUES
+from repro.sensors.cues import AWAREPEN_CUES, sliding_windows
 from repro.stats.bootstrap import bootstrap_threshold
 from repro.verify import reference
 
@@ -35,7 +35,7 @@ DURATION_S = 60
 WINDOW = 100
 HOP = 50
 
-#: Floor asserted for batched-vs-generator cue extraction.
+#: Floor asserted for batched-vs-per-window cue extraction.
 MIN_CUE_SPEEDUP = 5.0
 
 #: ANFIS training workload: a quality-FIS-shaped hybrid-learning run.
@@ -64,31 +64,33 @@ def signal():
     return rng.normal(size=(SAMPLE_RATE_HZ * DURATION_S, 3))
 
 
+def _per_window_cues(signal: np.ndarray) -> np.ndarray:
+    """The per-window baseline: extract each sliding window on its own."""
+    return np.vstack([AWAREPEN_CUES.extract(window)
+                      for _, window in sliding_windows(signal, WINDOW, HOP)])
+
+
 def test_batched_cue_extraction_speedup(signal, throughput, report):
-    """Vectorized sliding windows must be >= 5x the generator loop."""
-    t_generator = best_of(
-        lambda: AWAREPEN_CUES.extract_all(signal, WINDOW, HOP,
-                                          batched=False),
-        repeats=5, min_time=0.02)
+    """Vectorized sliding windows must be >= 5x the per-window loop."""
+    t_loop = best_of(lambda: _per_window_cues(signal),
+                     repeats=5, min_time=0.02)
     t_batched = best_of(
         lambda: AWAREPEN_CUES.extract_all(signal, WINDOW, HOP),
         repeats=5, min_time=0.02)
 
     starts, batched = AWAREPEN_CUES.extract_all(signal, WINDOW, HOP)
-    _, reference = AWAREPEN_CUES.extract_all(signal, WINDOW, HOP,
-                                             batched=False)
-    assert np.allclose(batched, reference, rtol=1e-10, atol=1e-12)
+    assert np.array_equal(batched, _per_window_cues(signal))
 
     n_windows = len(starts)
-    speedup = t_generator / t_batched
-    throughput.record("cue_extraction_generator", n_windows / t_generator,
+    speedup = t_loop / t_batched
+    throughput.record("cue_extraction_generator", n_windows / t_loop,
                       "windows/s", note=f"{WINDOW}x3 window, hop {HOP}")
     throughput.record("cue_extraction_batched", n_windows / t_batched,
                       "windows/s", note=f"{WINDOW}x3 window, hop {HOP}")
     throughput.record("cue_extraction_speedup", speedup, "x",
-                      note="batched vs per-window generator")
+                      note="batched vs per-window loop")
     report.row("throughput", "batched cue extraction",
-               ">= 5x generator path", f"{speedup:.1f}x")
+               ">= 5x per-window loop", f"{speedup:.1f}x")
     assert speedup >= MIN_CUE_SPEEDUP
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.interconnection import QualityAugmentedClassifier
 from ..sensors.node import CueWindow
-from ..types import QualifiedClassification
+from ..types import Classification, QualifiedClassification
 from .base import Appliance
 from .bus import EventBus
 from .messages import ContextEvent
@@ -44,20 +44,33 @@ class AwarePen(Appliance):
     def process_window(self, cues: np.ndarray,
                        time_s: float = 0.0) -> ContextEvent:
         """Classify one cue window, qualify it, and publish the event."""
-        qualified = self.augmented.classify(cues)
-        self._qualified.append(qualified)
-        return self.publish_context(
-            topic=self.topic,
-            context=qualified.context,
-            quality=qualified.quality,
-            time_s=time_s,
-        )
+        classification = self.augmented.classifier.classify(cues)
+        return self.publish_classification(classification, time_s)
 
     def process_stream(self, windows: Iterable[CueWindow]
                        ) -> List[ContextEvent]:
-        """Process a stream of sensor windows (simulation driver)."""
-        return [self.process_window(w.cues, time_s=w.time_s)
-                for w in windows]
+        """Process a stream of sensor windows (simulation driver).
+
+        All windows are classified in one batch; each one is then
+        qualified and published on its own, in stream order.
+        """
+        windows = list(windows)
+        if not windows:
+            return []
+        classifications = self.augmented.classifier.classify_batch(
+            np.vstack([w.cues for w in windows]))
+        return [self.publish_classification(c, w.time_s)
+                for c, w in zip(classifications, windows)]
+
+    def publish_classification(self, classification: Classification,
+                               time_s: float) -> ContextEvent:
+        """Attach the CQM to one classification and publish the event."""
+        qualified = self.augmented.quality.qualify(classification)
+        self._qualified.append(qualified)
+        return self.publish_context(topic=self.topic,
+                                    context=qualified.context,
+                                    quality=qualified.quality,
+                                    time_s=time_s)
 
     # ------------------------------------------------------------------
     @property

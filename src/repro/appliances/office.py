@@ -75,17 +75,11 @@ class AwareOffice:
                      rng: np.random.Generator) -> OfficeRunReport:
         """Stream one scripted scenario through the pen and camera."""
         windows = self.node.collect(segments, rng, self.classes)
-        correct = 0
-        wrong = 0
-        last_time = 0.0
-        for window in windows:
-            event = self.pen.process_window(window.cues, time_s=window.time_s)
-            last_time = window.time_s
-            if event.context.index == window.true_context.index:
-                correct += 1
-            else:
-                wrong += 1
-        self.camera.flush(last_time)
+        events = self.pen.process_stream(windows)
+        correct = sum(event.context.index == window.true_context.index
+                      for event, window in zip(events, windows))
+        wrong = len(windows) - correct
+        self.camera.flush(windows[-1].time_s if windows else 0.0)
         return OfficeRunReport(
             n_windows=len(windows),
             n_snapshots=len(self.camera.snapshots),

@@ -34,6 +34,7 @@ from ..appliances.situation import SituationDetector
 from ..core.filtering import QualityFilter
 from ..exceptions import ScenarioError
 from ..sensors.node import CueWindow
+from ..types import Classification
 from ..verify.golden import ArrayRecord, GoldenTrace, StageRecord
 from .activities import FAMILY_CLASSES, FAMILY_MODELS
 from .models import model_for
@@ -143,8 +144,11 @@ def run_scenario(spec: ScenarioSpec, seed: int = 7,
         elif app.kind == "display":
             built[app.name] = OfficeDisplay(bus, name=app.name)
 
-    # Stream every sensor, then merge windows into global time order.
-    merged: List[Tuple[float, int, CueWindow, str]] = []
+    # Stream and classify every sensor's windows in one batch per
+    # appliance, then merge them into global time order.  Only this
+    # stateless work is batched: the CQM, publishing and everything
+    # downstream of the bus run once per window, in merged order.
+    merged: List[Tuple[float, int, CueWindow, Classification, str]] = []
     last_time: Dict[str, float] = {}
     for order, app in enumerate(sensing):
         sensor = sensors[app.sensor]
@@ -154,8 +158,12 @@ def run_scenario(spec: ScenarioSpec, seed: int = 7,
         rng = np.random.default_rng([seed, sensor_order[sensor.name]])
         windows = node.collect(segments, rng,
                                FAMILY_CLASSES[sensor.family])
-        for window in windows:
-            merged.append((window.time_s, order, window, app.name))
+        classifier = built[app.name].augmented.classifier
+        classifications = classifier.classify_batch(
+            np.vstack([w.cues for w in windows]))
+        for window, classification in zip(windows, classifications):
+            merged.append((window.time_s, order, window, classification,
+                           app.name))
     merged.sort(key=lambda item: (item[0], item[1]))
 
     times: Dict[str, List[float]] = {a.name: [] for a in sensing}
@@ -164,8 +172,8 @@ def run_scenario(spec: ScenarioSpec, seed: int = 7,
     qualities: Dict[str, List[float]] = {a.name: [] for a in sensing}
     n_correct = 0
     n_wrong = 0
-    for time_s, _, window, name in merged:
-        event = built[name].process_window(window.cues, time_s=time_s)
+    for time_s, _, window, classification, name in merged:
+        event = built[name].publish_classification(classification, time_s)
         last_time[name] = time_s
         times[name].append(time_s)
         true_idx[name].append(window.true_context.index)

@@ -95,20 +95,23 @@ class CueExtractor(abc.ABC):
 
     def _validated_batch(self, windows: np.ndarray,
                          min_samples: int = 1) -> np.ndarray:
-        """Validate a window stack and lay it out for fast reduction.
+        """Validate a window stack and lay it out window-axis first.
 
-        Returns the stack as a contiguous ``(n_windows, n_axes, window)``
-        array: reducing over the *last, unit-stride* axis is several
-        times faster than reducing over the middle axis of the strided
-        sliding-window view (measured ~2.5x for ``np.std`` on the
-        AwarePen workload), and the relayout copy is cheap.
+        Returns the stack as a contiguous ``(window, n_windows, n_axes)``
+        array; the built-in cues reduce it over axis 0.  That is the
+        memory order :meth:`extract` sees for one ``(window, n_axes)``
+        window, so numpy accumulates each window's samples in the same
+        sequence and the batched cues equal the per-window ones bit for
+        bit whenever ``n_axes >= 2``.  (A single-axis window is one
+        contiguous column, which numpy sums pairwise, so there the two
+        paths may differ by an ulp.)
         """
         windows = np.asarray(windows, dtype=float)
         if windows.ndim != 3 or windows.shape[1] < min_samples:
             raise DimensionError(
                 f"windows must be 3-D with >= {min_samples} samples per "
                 f"window, got {windows.shape}")
-        return np.ascontiguousarray(np.moveaxis(windows, 1, -1))
+        return np.ascontiguousarray(np.moveaxis(windows, 1, 0))
 
 
 class StdCue(CueExtractor):
@@ -122,7 +125,7 @@ class StdCue(CueExtractor):
         return np.std(window, axis=0)
 
     def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        return np.std(self._validated_batch(windows, min_samples=2), axis=-1)
+        return np.std(self._validated_batch(windows, min_samples=2), axis=0)
 
     def cue_names(self, n_axes: int) -> List[str]:
         return [f"std_{axis}" for axis in _axis_names(n_axes)]
@@ -138,7 +141,7 @@ class MeanCue(CueExtractor):
         return np.mean(window, axis=0)
 
     def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        return np.mean(self._validated_batch(windows), axis=-1)
+        return np.mean(self._validated_batch(windows), axis=0)
 
     def cue_names(self, n_axes: int) -> List[str]:
         return [f"mean_{axis}" for axis in _axis_names(n_axes)]
@@ -156,8 +159,8 @@ class EnergyCue(CueExtractor):
 
     def extract_batch(self, windows: np.ndarray) -> np.ndarray:
         windows = self._validated_batch(windows, min_samples=2)
-        centered = windows - np.mean(windows, axis=-1, keepdims=True)
-        return np.sqrt(np.mean(centered ** 2, axis=-1))
+        centered = windows - np.mean(windows, axis=0, keepdims=True)
+        return np.sqrt(np.mean(centered ** 2, axis=0))
 
     def cue_names(self, n_axes: int) -> List[str]:
         return [f"rms_{axis}" for axis in _axis_names(n_axes)]
@@ -174,7 +177,7 @@ class RangeCue(CueExtractor):
 
     def extract_batch(self, windows: np.ndarray) -> np.ndarray:
         windows = self._validated_batch(windows)
-        return np.max(windows, axis=-1) - np.min(windows, axis=-1)
+        return np.max(windows, axis=0) - np.min(windows, axis=0)
 
     def cue_names(self, n_axes: int) -> List[str]:
         return [f"range_{axis}" for axis in _axis_names(n_axes)]
@@ -194,10 +197,10 @@ class MeanCrossingRateCue(CueExtractor):
 
     def extract_batch(self, windows: np.ndarray) -> np.ndarray:
         windows = self._validated_batch(windows, min_samples=2)
-        centered = windows - np.mean(windows, axis=-1, keepdims=True)
+        centered = windows - np.mean(windows, axis=0, keepdims=True)
         signs = np.signbit(centered)
-        crossings = np.sum(signs[..., 1:] != signs[..., :-1], axis=-1)
-        return crossings / (windows.shape[-1] - 1)
+        crossings = np.sum(signs[1:] != signs[:-1], axis=0)
+        return crossings / (windows.shape[0] - 1)
 
     def cue_names(self, n_axes: int) -> List[str]:
         return [f"mcr_{axis}" for axis in _axis_names(n_axes)]
@@ -235,36 +238,20 @@ class CuePipeline:
 
     @obs.traced("cues.extract_all")
     def extract_all(self, signal: np.ndarray, window: int,
-                    hop: int, batched: bool = True
-                    ) -> Tuple[np.ndarray, np.ndarray]:
+                    hop: int) -> Tuple[np.ndarray, np.ndarray]:
         """Cues for every sliding window of *signal*.
 
         Returns ``(starts, cue_matrix)`` with ``cue_matrix`` of shape
-        ``(n_windows, n_cues)``.  The default batched path builds one
-        strided window view and runs each extractor's vectorized
-        ``extract_batch`` over it; ``batched=False`` forces the original
-        per-window generator loop (the reference semantics, and an escape
-        hatch for extractors whose batch path misbehaves).
+        ``(n_windows, n_cues)``: one strided window view, reduced by each
+        extractor's vectorized ``extract_batch``.
         """
-        if batched:
-            starts, windows = sliding_window_matrix(signal, window, hop)
-            if starts.size == 0:
-                raise DimensionError(
-                    f"signal of {np.asarray(signal).shape[0]} samples is "
-                    f"shorter than one window of {window}")
-            obs.inc("cues.windows_total", int(starts.size))
-            return starts, self.extract_batch(windows)
-        starts_list: List[int] = []
-        rows: List[np.ndarray] = []
-        for start, win in sliding_windows(signal, window, hop):
-            starts_list.append(start)
-            rows.append(self.extract(win))
-        if not rows:
+        starts, windows = sliding_window_matrix(signal, window, hop)
+        if starts.size == 0:
             raise DimensionError(
-                f"signal of {np.asarray(signal).shape[0]} samples is shorter "
-                f"than one window of {window}")
-        obs.inc("cues.windows_total", len(starts_list))
-        return np.array(starts_list, dtype=int), np.vstack(rows)
+                f"signal of {np.asarray(signal).shape[0]} samples is "
+                f"shorter than one window of {window}")
+        obs.inc("cues.windows_total", int(starts.size))
+        return starts, self.extract_batch(windows)
 
 
 def _axis_names(n_axes: int) -> List[str]:

@@ -15,7 +15,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..types import ContextClass
 from .accelerometer import ActivityModel, DEFAULT_STYLE, UserStyle, blend
-from .cues import AWAREPEN_CUES, CuePipeline
+from .cues import AWAREPEN_CUES, CuePipeline, sliding_window_matrix
 from .signal import ADXL_SENSOR, SensorModel
 
 
@@ -129,24 +129,39 @@ class SensorNode:
 
         *classes* maps class indices to :class:`ContextClass` objects (the
         per-sample labels produced by the activity models are indices).
+
+        The cues of every window come from one strided window view and
+        one :meth:`CuePipeline.extract_batch` call, equal bit for bit to
+        extracting each window on its own.  A window's true context is
+        its majority label (ties go to the smallest index); it is a
+        transition when it overlaps a crossfade or a segment boundary.
         """
         by_index = {c.index: c for c in classes}
         signal, labels, transition = self.render_scenario(segments, rng)
-        for start in range(0, signal.shape[0] - self.window + 1, self.hop):
-            stop = start + self.window
-            window_labels = labels[start:stop]
-            majority = int(np.bincount(window_labels).argmax())
-            if majority not in by_index:
+        starts, windows = sliding_window_matrix(signal, self.window,
+                                                self.hop)
+        cues = self.cues.extract_batch(windows)
+        # One row per window over the labels and the crossfade mask;
+        # counts[i, c] = samples of class c in window i.
+        label_windows = _window_rows(labels, self.window, self.hop)
+        counts = np.sum(label_windows[:, :, None]
+                        == np.arange(int(labels.max()) + 1), axis=1)
+        majority = np.argmax(counts, axis=1)
+        crosses_boundary = counts.max(axis=1) < self.window
+        in_fade = np.any(_window_rows(transition, self.window, self.hop),
+                         axis=1)
+        is_transition = in_fade | crosses_boundary
+        for i, start in enumerate(starts.tolist()):
+            index = int(majority[i])
+            if index not in by_index:
                 raise ConfigurationError(
-                    f"no ContextClass registered for index {majority}")
-            crosses_boundary = len(np.unique(window_labels)) > 1
+                    f"no ContextClass registered for index {index}")
             yield CueWindow(
                 start_sample=start,
                 time_s=start / self.rate_hz,
-                cues=self.cues.extract(signal[start:stop]),
-                true_context=by_index[majority],
-                is_transition=bool(np.any(transition[start:stop])
-                                   or crosses_boundary),
+                cues=cues[i],
+                true_context=by_index[index],
+                is_transition=bool(is_transition[i]),
             )
 
     def collect(self, segments: Sequence[Segment],
@@ -154,3 +169,8 @@ class SensorNode:
                 classes: Sequence[ContextClass]) -> List[CueWindow]:
         """Materialize :meth:`stream` into a list."""
         return list(self.stream(segments, rng, classes))
+
+
+def _window_rows(values: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """``(n_windows, window)`` strided view of a per-sample 1-D array."""
+    return np.lib.stride_tricks.sliding_window_view(values, window)[::hop]

@@ -159,7 +159,7 @@ def _cases_cues(ctx: _SeedContext,
     for name, signal in signals.items():
         for window, hop in ((32, 16), (8, 8), (2, 1)):
             starts_opt, cues_opt = AWAREPEN_CUES.extract_all(
-                signal, window, hop, batched=True)
+                signal, window, hop)
             starts_ref, cues_ref = reference.std_cues(signal, window, hop)
             yield (f"{name}/w{window}h{hop}/starts",
                    starts_opt.astype(float), starts_ref.astype(float))

@@ -8,6 +8,7 @@ from repro.core.filtering import QualityFilter
 from repro.exceptions import ScenarioError
 from repro.scenarios import registry
 from repro.scenarios.activities import FAMILY_MODELS
+from repro.scenarios.models import model_for
 from repro.scenarios.runner import (capture_scenario_trace, run_scenario,
                                     run_scenario_on)
 from repro.scenarios.spec import (ApplianceSpec, ScenarioSpec,
@@ -49,6 +50,40 @@ class TestAwareOfficeEquivalence:
         assert ungated.rejected_events == 0
         assert (ungated.accepted_events
                 == gated.accepted_events + gated.rejected_events)
+
+
+class TestMicroBatching:
+    @pytest.mark.parametrize("transport", ["eventbus", "broker"])
+    def test_one_predict_call_per_sensing_appliance(self, scenario_runs,
+                                                    monkeypatch, transport):
+        """Each sensing appliance classifies all its windows in one call;
+        the events stay those of the cached (golden-checked) run."""
+        spec = registry.get("awareoffice-situations")
+        calls = {}
+        for app in spec.appliances:
+            if app.kind not in ("pen", "chair"):
+                continue
+            clf_spec = (app.classifier if app.classifier is not None
+                        else spec.classifier)
+            classifier = model_for(app.kind, clf_spec, 7).augmented.classifier
+            rows = calls.setdefault(app.name, [])
+            original = classifier.predict_indices
+
+            def spy(x, _original=original, _rows=rows):
+                _rows.append(np.atleast_2d(x).shape[0])
+                return _original(x)
+
+            monkeypatch.setattr(classifier, "predict_indices", spy)
+        result = run_scenario_on(spec, seed=7, transport=transport)
+        windows = {rec.name: rec.times.size for rec in result.events}
+        assert set(calls) == set(windows) == {"pen", "chair"}
+        for name, rows in calls.items():
+            assert rows == [windows[name]]
+        diff = diff_traces(capture_scenario_trace(result),
+                           capture_scenario_trace(
+                               scenario_runs("awareoffice-situations")),
+                           rtol=0.0, atol=0.0)
+        assert diff.passed, diff.to_text()
 
 
 class TestDeterminism:

@@ -163,7 +163,7 @@ class TestBatchedExtraction:
         batch = extractor.extract_batch(windows)
         loop = np.vstack([extractor.extract(w) for w in windows])
         assert batch.shape == loop.shape
-        np.testing.assert_allclose(batch, loop, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(batch, loop)
 
     def test_base_class_fallback_loop(self, rng):
         _, windows = sliding_window_matrix(rng.normal(size=(60, 2)), 10, 5)
@@ -184,11 +184,11 @@ class TestBatchedExtraction:
         batch = pipeline.extract_batch(windows)
         loop = np.vstack([pipeline.extract(w) for w in windows])
         assert batch.shape == loop.shape == (len(windows), 6)
-        np.testing.assert_allclose(batch, loop, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(batch, loop)
 
 
 class TestExtractAllEquivalence:
-    """The batched fast path is a drop-in for the generator loop."""
+    """``extract_all`` equals extracting each sliding window on its own."""
 
     @given(n_samples=st.integers(5, 150),
            window=st.integers(2, 40),
@@ -198,20 +198,31 @@ class TestExtractAllEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_batched_matches_generator(self, n_samples, window, hop,
                                        n_axes, seed):
+        """Bit-identical for ``n_axes >= 2`` (every zoo sensor is 3-axis).
+
+        A one-axis window is a single contiguous column, which numpy
+        sums pairwise in :meth:`extract`, while the batched layout sums
+        it in sequence; the two may differ by an ulp there (found at
+        ``n_samples=9, window=8, hop=1``), so that case keeps a tolerance.
+        """
         assume(n_samples >= window)
         signal = np.random.default_rng(seed).normal(size=(n_samples, n_axes))
         pipeline = CuePipeline(extractors=(StdCue(), MeanCue(), RangeCue()))
-        starts_gen, cues_gen = pipeline.extract_all(signal, window, hop,
-                                                    batched=False)
+        reference = [(start, pipeline.extract(win))
+                     for start, win in sliding_windows(signal, window, hop)]
+        starts_gen = np.array([start for start, _ in reference])
+        cues_gen = np.vstack([cues for _, cues in reference])
         starts_bat, cues_bat = pipeline.extract_all(signal, window, hop)
         np.testing.assert_array_equal(starts_gen, starts_bat)
         assert cues_gen.shape == cues_bat.shape
-        np.testing.assert_allclose(cues_bat, cues_gen,
-                                   rtol=1e-10, atol=1e-12)
+        if n_axes >= 2:
+            np.testing.assert_array_equal(cues_bat, cues_gen)
+        else:
+            np.testing.assert_allclose(cues_bat, cues_gen,
+                                       rtol=1e-10, atol=1e-12)
 
     def test_both_paths_reject_short_signal(self, rng):
         signal = rng.normal(size=(5, 3))
-        for batched in (True, False):
-            with pytest.raises(DimensionError):
-                AWAREPEN_CUES.extract_all(signal, window=20, hop=10,
-                                          batched=batched)
+        assert list(sliding_windows(signal, window=20, hop=10)) == []
+        with pytest.raises(DimensionError):
+            AWAREPEN_CUES.extract_all(signal, window=20, hop=10)

@@ -115,3 +115,107 @@ class TestStream:
                                  if w.true_context.index == PLAYING.index])
         assert lying_cues.mean() < 0.1
         assert playing_cues.mean() > 0.3
+
+
+def reference_stream(node, segments, rng, classes):
+    """The per-window definition of :meth:`SensorNode.stream`."""
+    by_index = {c.index: c for c in classes}
+    signal, labels, transition = node.render_scenario(segments, rng)
+    out = []
+    for start in range(0, signal.shape[0] - node.window + 1, node.hop):
+        stop = start + node.window
+        window_labels = labels[start:stop]
+        majority = int(np.bincount(window_labels).argmax())
+        if majority not in by_index:
+            raise ConfigurationError(
+                f"no ContextClass registered for index {majority}")
+        out.append(CueWindow(
+            start_sample=start,
+            time_s=start / node.rate_hz,
+            cues=node.cues.extract(signal[start:stop]),
+            true_context=by_index[majority],
+            is_transition=bool(np.any(transition[start:stop])
+                               or len(np.unique(window_labels)) > 1)))
+    return out
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.start_sample == w.start_sample
+        assert g.time_s == w.time_s
+        assert g.cues.shape == w.cues.shape
+        assert np.array_equal(g.cues, w.cues)
+        assert g.true_context == w.true_context
+        assert g.is_transition is w.is_transition
+
+
+class TestStreamMatchesReference:
+    """The batched stream equals a per-window loop, field by field."""
+
+    @pytest.mark.parametrize("window,hop,transition_s", [
+        (100, 50, 0.5), (100, 50, 0.0), (64, 17, 0.3), (40, 120, 0.5),
+        (100, 1, 0.5)])
+    def test_matches_per_window_loop(self, window, hop, transition_s):
+        node = SensorNode(rate_hz=100.0, window=window, hop=hop,
+                          transition_s=transition_s)
+        segments = [Segment(ACTIVITY_MODELS["writing"], duration_s=2.3),
+                    Segment(ACTIVITY_MODELS["lying"], duration_s=1.7),
+                    Segment(ACTIVITY_MODELS["playing"], duration_s=2.0),
+                    Segment(ACTIVITY_MODELS["writing"], duration_s=1.1)]
+        got = node.collect(segments, np.random.default_rng(5),
+                           AWAREPEN_CLASSES)
+        want = reference_stream(node, segments, np.random.default_rng(5),
+                                AWAREPEN_CLASSES)
+        assert_same_windows(got, want)
+
+    def test_majority_tie_goes_to_smallest_index(self):
+        # 3 s segments, 100-sample windows every 50: the window at 250
+        # holds 50 playing then 50 lying samples.
+        node = SensorNode(rate_hz=100.0, window=100, hop=50,
+                          transition_s=0.0)
+        segments = [Segment(ACTIVITY_MODELS["playing"], duration_s=3.0),
+                    Segment(ACTIVITY_MODELS["lying"], duration_s=3.0)]
+        got = node.collect(segments, np.random.default_rng(1),
+                           AWAREPEN_CLASSES)
+        tie = [w for w in got if w.start_sample == 250]
+        assert len(tie) == 1
+        assert LYING.index < PLAYING.index
+        assert tie[0].true_context == LYING
+        assert tie[0].is_transition
+        assert_same_windows(got, reference_stream(
+            node, segments, np.random.default_rng(1), AWAREPEN_CLASSES))
+
+    def test_crossfade_and_boundary_flags(self):
+        node = SensorNode(rate_hz=100.0, window=100, hop=25,
+                          transition_s=0.5)
+        got = node.collect(two_segment_scenario(),
+                           np.random.default_rng(2), AWAREPEN_CLASSES)
+        # Boundary at sample 300, crossfade over samples 300..349.
+        flagged = [w.start_sample for w in got if w.is_transition]
+        assert flagged == list(range(225, 350, 25))
+        assert_same_windows(got, reference_stream(
+            node, two_segment_scenario(), np.random.default_rng(2),
+            AWAREPEN_CLASSES))
+
+    def test_one_window_signal(self):
+        node = SensorNode(rate_hz=100.0, window=100, hop=50)
+        segments = [Segment(ACTIVITY_MODELS["writing"], duration_s=1.0)]
+        got = node.collect(segments, np.random.default_rng(3),
+                           AWAREPEN_CLASSES)
+        assert len(got) == 1
+        assert got[0].true_context == WRITING
+        assert not got[0].is_transition
+        assert_same_windows(got, reference_stream(
+            node, segments, np.random.default_rng(3), AWAREPEN_CLASSES))
+
+    def test_unregistered_class_raises_like_reference(self):
+        node = SensorNode(rate_hz=100.0, window=100, hop=50)
+        classes = (LYING, WRITING)
+        with pytest.raises(ConfigurationError) as got:
+            node.collect(two_segment_scenario(), np.random.default_rng(4),
+                         classes)
+        with pytest.raises(ConfigurationError) as want:
+            reference_stream(node, two_segment_scenario(),
+                             np.random.default_rng(4), classes)
+        assert str(got.value) == str(want.value)
