@@ -1,18 +1,24 @@
-"""Appliance base class.
+"""Appliance base classes.
 
 A smart appliance is "a small computing device integrated into an everyday
 object" (paper section 1).  In this simulation an appliance has a name, a
 reference to the office event bus, and hooks for publishing and receiving
-:class:`ContextEvent` messages.
+:class:`ContextEvent` messages.  A :class:`SensingAppliance` additionally
+carries a quality-augmented classifier and publishes one qualified
+context event per sensor window.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
+import numpy as np
+
+from ..core.interconnection import QualityAugmentedClassifier
 from ..exceptions import ConfigurationError
-from ..types import ContextClass
+from ..sensors.node import CueWindow
+from ..types import Classification, ContextClass, QualifiedClassification
 from .bus import EventBus
 from .messages import ContextEvent
 
@@ -56,3 +62,50 @@ class Appliance(abc.ABC):
     @abc.abstractmethod
     def describe(self) -> str:
         """One-line human-readable description of the appliance."""
+
+
+class SensingAppliance(Appliance):
+    """An appliance with sensors, a black-box classifier and the CQM.
+
+    Subclasses define ``process_window`` (one cue window in, one event
+    out) and ``describe``; stream processing, qualification and the
+    qualified history are shared here.
+    """
+
+    def __init__(self, bus: EventBus,
+                 augmented: QualityAugmentedClassifier,
+                 name: str, topic: str) -> None:
+        super().__init__(name=name, bus=bus)
+        self.augmented = augmented
+        self.topic = topic
+        self._qualified: List[QualifiedClassification] = []
+
+    def process_stream(self, windows: Iterable[CueWindow]
+                       ) -> List[ContextEvent]:
+        """Process a stream of sensor windows (simulation driver).
+
+        All windows are classified in one batch; each one is then
+        qualified and published on its own, in stream order.
+        """
+        windows = list(windows)
+        if not windows:
+            return []
+        classifications = self.augmented.classifier.classify_batch(
+            np.vstack([w.cues for w in windows]))
+        return [self.publish_classification(c, w.time_s)
+                for c, w in zip(classifications, windows)]
+
+    def publish_classification(self, classification: Classification,
+                               time_s: float) -> ContextEvent:
+        """Attach the CQM to one classification and publish the event."""
+        qualified = self.augmented.quality.qualify(classification)
+        self._qualified.append(qualified)
+        return self.publish_context(topic=self.topic,
+                                    context=qualified.context,
+                                    quality=qualified.quality,
+                                    time_s=time_s)
+
+    @property
+    def history(self) -> List[QualifiedClassification]:
+        """All qualified classifications the appliance has produced."""
+        return list(self._qualified)

@@ -26,6 +26,9 @@ Handler = Callable[[ContextEvent], None]
 
 #: Default bound on the recorded delivery-error ring.
 MAX_DELIVERY_ERRORS = 256
+#: Bound on the topic -> route memo; a bus fed ever-new topics clears
+#: it rather than growing without bound.
+MAX_ROUTES = 1024
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
@@ -69,6 +72,9 @@ class EventBus:
                 f"max_delivery_errors must be >= 1, got "
                 f"{max_delivery_errors}")
         self._subscribers: List[Tuple[str, str, Handler]] = []
+        # Topic -> its matching subscription entries, in subscription
+        # order; cleared whenever the subscription list changes.
+        self._routes: Dict[str, Tuple[Tuple[str, str, Handler], ...]] = {}
         self._delivery_errors: Deque[DeliveryError] = deque(
             maxlen=max_delivery_errors)
         self._errors_dropped: int = 0
@@ -90,6 +96,7 @@ class EventBus:
             raise ConfigurationError("pattern must be non-empty")
         entry = (pattern, name, handler)
         self._subscribers.append(entry)
+        self._routes.clear()
         # An unsubscribe immediately followed by an equal re-subscribe
         # within the same delivery is subscription *continuity*: lift
         # the matching tombstones so the refreshed entry still receives
@@ -109,6 +116,7 @@ class EventBus:
         for entry in self._subscribers:
             (removed if entry[2] == handler else kept).append(entry)
         self._subscribers = kept
+        self._routes.clear()
         if removed and self._tombstones:
             # Mark the removed entry objects dead for every publish
             # currently in flight, so delivery skips them in O(1)
@@ -117,31 +125,34 @@ class EventBus:
                 stones.update((id(entry), entry) for entry in removed)
         return len(removed)
 
-    @staticmethod
-    def _matches(pattern: str, topic: str) -> bool:
-        return topic_matches(pattern, topic)
-
     # ------------------------------------------------------------------
     def publish(self, event: ContextEvent) -> int:
         """Deliver *event* to all matching subscribers.
 
         Returns the number of successful deliveries.  Delivery iterates
-        a snapshot, so handlers may subscribe or unsubscribe mid-event:
-        new subscriptions only see the *next* event, and a subscription
+        a snapshot -- the topic's memoized route, an immutable tuple --
+        so handlers may subscribe or unsubscribe mid-event: new
+        subscriptions only see the *next* event, and a subscription
         removed by an earlier handler is skipped instead of called on
         its way out (pinned by the reentrancy tests).
         """
         self._published += 1
+        topic = event.topic
+        route = self._routes.get(topic)
+        if route is None:
+            if len(self._routes) >= MAX_ROUTES:
+                self._routes.clear()
+            route = self._routes[topic] = tuple(
+                entry for entry in self._subscribers
+                if topic_matches(entry[0], topic))
         delivered = 0
         tombstones: Dict[int, Tuple[str, str, Handler]] = {}
         self._tombstones.append(tombstones)
         try:
-            for entry in list(self._subscribers):
-                pattern, name, handler = entry
-                if not self._matches(pattern, event.topic):
-                    continue
+            for entry in route:
                 if id(entry) in tombstones:
                     continue
+                _, name, handler = entry
                 try:
                     handler(event)
                     delivered += 1

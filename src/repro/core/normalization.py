@@ -44,7 +44,7 @@ def normalize_scalar(x: float) -> Optional[float]:
     Returns a quality in ``[0, 1]`` or ``None`` (epsilon).
     """
     x = float(x)
-    if np.isnan(x):
+    if x != x:  # NaN
         return EPSILON
     if 0.0 <= x <= 1.0:
         return x

@@ -60,8 +60,13 @@ class QualityMeasure:
         if cues.shape[0] != self.n_cues:
             raise DimensionError(
                 f"expected {self.n_cues} cues, got {cues.shape[0]}")
-        v_q = np.append(cues, float(class_index))
-        q = normalize_scalar(float(self.raw(v_q)[0]))
+        # One window costs numpy call overhead, not arithmetic: build the
+        # validated 1-row v_Q in place and skip ``raw``'s re-validation.
+        v_q = np.empty((1, self.n_cues + 1))
+        v_q[0, :-1] = cues
+        v_q[0, -1] = class_index
+        q = normalize_scalar(float(self.system.evaluate_components(
+            v_q, validate=False).output[0]))
         if obs.STATE.enabled:
             registry = obs.get_registry()
             registry.inc("cqm.measures_total")

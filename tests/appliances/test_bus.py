@@ -296,6 +296,82 @@ class TestReentrantUnsubscribe:
         assert bus.publish(make_event()) == 1
 
 
+class TestRouteMemo:
+    """``publish`` memoizes each topic's route; every change to the
+    subscription list must be visible on the very next event."""
+
+    def test_subscribe_after_routing_reaches_next_event(self):
+        bus = EventBus()
+        first, late = [], []
+        bus.subscribe("context.pen", first.append, name="first")
+        bus.publish(make_event())  # routes "context.pen"
+        bus.subscribe("context.*", late.append, name="late")
+        bus.publish(make_event())
+        assert len(first) == 2
+        assert len(late) == 1
+
+    def test_unsubscribe_after_routing_takes_effect(self):
+        bus = EventBus()
+        received = []
+        bus.subscribe("context.pen", received.append, name="gone")
+        bus.publish(make_event())
+        assert bus.unsubscribe(received.append) == 1
+        assert bus.publish(make_event()) == 0
+        assert len(received) == 1
+
+    def test_unsubscribe_from_handler_takes_effect_on_next_event(self):
+        bus = EventBus()
+        calls = []
+
+        def watcher(event):
+            calls.append("watcher")
+
+        def stopper(event):
+            calls.append("stopper")
+            bus.unsubscribe(watcher)
+
+        bus.subscribe("context.pen", watcher, name="watcher")
+        bus.subscribe("context.pen", stopper, name="stopper")
+        bus.publish(make_event())  # watcher runs before it is removed
+        bus.publish(make_event())
+        assert calls == ["watcher", "stopper", "stopper"]
+
+    def test_new_topic_gets_routed(self):
+        bus = EventBus()
+        wild, chair = [], []
+        bus.subscribe("context.*", wild.append, name="wild")
+        bus.subscribe("context.chair", chair.append, name="chair")
+        bus.publish(make_event(topic="context.pen"))
+        bus.publish(make_event(topic="context.chair"))
+        bus.publish(make_event(topic="status.pen"))
+        assert [e.topic for e in wild] == ["context.pen", "context.chair"]
+        assert [e.topic for e in chair] == ["context.chair"]
+
+    def test_delivery_order_is_subscription_order(self):
+        bus = EventBus()
+        order = []
+        patterns = ["context.pen", "*", "context.*", "status.*",
+                    "context.pen", "c*"]
+        for i, pattern in enumerate(patterns):
+            bus.subscribe(pattern, lambda e, i=i: order.append(i),
+                          name=f"s{i}")
+        for _ in range(2):  # the memoized route keeps the order
+            order.clear()
+            bus.publish(make_event(topic="context.pen"))
+            assert order == [0, 1, 2, 4, 5]
+
+    def test_route_memo_is_bounded(self):
+        from repro.appliances.bus import MAX_ROUTES
+
+        bus = EventBus()
+        received = []
+        bus.subscribe("*", received.append, name="all")
+        for i in range(MAX_ROUTES + 10):
+            bus.publish(make_event(topic=f"topic.{i}"))
+        assert len(received) == MAX_ROUTES + 10
+        assert len(bus._routes) <= MAX_ROUTES
+
+
 class TestBoundedDeliveryErrors:
     def test_ring_evicts_oldest_and_counts_drops(self):
         bus = EventBus(max_delivery_errors=2)
