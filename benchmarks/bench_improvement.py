@@ -41,23 +41,20 @@ def test_camera_decision_improvement(benchmark, experiment, report):
     cleaner event stream than the ungated one (paper's motivating use)."""
     import numpy as np
 
-    from repro.appliances.office import AwareOffice
-    from repro.core.filtering import QualityFilter
     from repro.datasets.activities import evaluation_script
+    from repro.scenarios import models, office_spec, run_scenario
+
+    models.prime_pen_model(experiment.augmented, experiment.threshold,
+                           seed=7)
+    script = evaluation_script(np.random.default_rng(123), blocks=3)
 
     def run_gated():
-        office = AwareOffice(experiment.augmented,
-                             gate=QualityFilter(experiment.threshold))
-        return office.run_scenario(
-            evaluation_script(np.random.default_rng(123), blocks=3),
-            np.random.default_rng(123))
+        [camera] = run_scenario(office_spec(script), seed=7).cameras
+        return camera
 
     gated = benchmark(run_gated)
-
-    office = AwareOffice(experiment.augmented, gate=None)
-    ungated = office.run_scenario(
-        evaluation_script(np.random.default_rng(123), blocks=3),
-        np.random.default_rng(123))
+    [ungated] = run_scenario(office_spec(script, gated=False),
+                             seed=7).cameras
 
     report.row("improve33", "camera events rejected by gate",
                "wrong ones", str(gated.rejected_events))

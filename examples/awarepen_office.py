@@ -4,65 +4,58 @@
 The paper's motivating application (section 1): the whiteboard camera
 takes a picture when a writing session ends, and the quality measure keeps
 wrong pen contexts from triggering spurious snapshots.  This example runs
-the same office scenario twice — once with an ungated camera, once with a
-camera gated at the calibrated threshold — and compares the outcomes.
+the same office scenario twice through the scenario runner — once with an
+ungated camera, once with a camera gated at the calibrated threshold —
+and compares the outcomes.
 
 Run:  python examples/awarepen_office.py
 """
 
 import numpy as np
 
-from repro.appliances import AwareOffice
-from repro.core import QualityFilter
 from repro.datasets.activities import evaluation_script
-from repro.experiment import run_awarepen_experiment
-
-
-def run_office(experiment, gate, seed=2024):
-    office = AwareOffice(experiment.augmented, gate=gate)
-    rng = np.random.default_rng(seed)
-    script = evaluation_script(np.random.default_rng(seed), blocks=4)
-    report = office.run_scenario(script, rng)
-    return office, report
+from repro.scenarios import office_spec, run_scenario
+from repro.sensors.accelerometer import AWAREPEN_CLASSES
 
 
 def main() -> None:
-    # Build the full pipeline once (classifier + CQM + threshold).
-    experiment = run_awarepen_experiment(seed=7)
-    s = experiment.threshold
+    script = evaluation_script(np.random.default_rng(2024), blocks=4)
+    ungated = run_scenario(office_spec(script, gated=False), seed=7)
+    gated = run_scenario(office_spec(script, gated=True), seed=7)
+    [ungated_camera] = ungated.cameras
+    [camera] = gated.cameras
+    s = camera.threshold
     print(f"calibrated acceptance threshold s = {s:.3f}\n")
-
-    ungated_office, ungated = run_office(experiment, gate=None)
-    gated_office, gated = run_office(experiment, gate=QualityFilter(s))
 
     print("scenario: 4 writing blocks with thinking pauses and rests")
     print(f"pen emitted {ungated.n_windows} context events, "
-          f"raw accuracy {ungated.pen_accuracy:.2f}\n")
+          f"raw accuracy {ungated.accuracy:.2f}\n")
 
     print("ungated camera (believes every context event):")
-    print(f"  accepted {ungated.accepted_events} events, "
-          f"took {ungated.n_snapshots} snapshots")
+    print(f"  accepted {ungated_camera.accepted_events} events, "
+          f"took {ungated_camera.n_snapshots} snapshots")
 
     print("quality-gated camera (paper's proposal):")
-    print(f"  accepted {gated.accepted_events} events, rejected "
-          f"{gated.rejected_events} low-quality ones, "
-          f"took {gated.n_snapshots} snapshots\n")
+    print(f"  accepted {camera.accepted_events} events, rejected "
+          f"{camera.rejected_events} low-quality ones, "
+          f"took {camera.n_snapshots} snapshots\n")
 
     print("gated camera snapshot log:")
-    for snap in gated_office.camera.snapshots:
-        print(f"  t={snap.time_s:7.1f}s  session started "
-              f"{snap.session_start_s:7.1f}s  "
-              f"({snap.n_writing_events} writing events)")
+    for time_s, start_s, n_writing in zip(camera.snapshot_times,
+                                          camera.session_starts,
+                                          camera.n_writing_events):
+        print(f"  t={time_s:7.1f}s  session started {start_s:7.1f}s  "
+              f"({n_writing} writing events)")
 
     print("\nlast few pen events (context, q):")
-    for event in gated_office.pen.published_events[-8:]:
-        q = "eps" if event.quality is None else f"{event.quality:.2f}"
-        verdict = "PASS" if (event.quality or 0.0) > s else "drop"
-        print(f"  t={event.time_s:6.1f}s  {event.context.name:<8} "
-              f"q={q:<5} {verdict}")
-
-    if gated_office.bus.delivery_errors:
-        print("\ndelivery errors:", gated_office.bus.delivery_errors)
+    [pen] = gated.events
+    names = {c.index: c.name for c in AWAREPEN_CLASSES}
+    for time_s, index, q in zip(pen.times[-8:], pen.predicted_indices[-8:],
+                                pen.qualities[-8:]):
+        shown = "eps" if np.isnan(q) else f"{q:.2f}"
+        verdict = "PASS" if q > s else "drop"
+        print(f"  t={time_s:6.1f}s  {names[index]:<8} "
+              f"q={shown:<5} {verdict}")
 
 
 if __name__ == "__main__":

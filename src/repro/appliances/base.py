@@ -11,13 +11,10 @@ context event per sensor window.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from ..core.interconnection import QualityAugmentedClassifier
 from ..exceptions import ConfigurationError
-from ..sensors.node import CueWindow
 from ..types import Classification, ContextClass, QualifiedClassification
 from .bus import EventBus
 from .messages import ContextEvent
@@ -68,8 +65,8 @@ class SensingAppliance(Appliance):
     """An appliance with sensors, a black-box classifier and the CQM.
 
     Subclasses define ``process_window`` (one cue window in, one event
-    out) and ``describe``; stream processing, qualification and the
-    qualified history are shared here.
+    out) and ``describe``; qualification and the qualified history are
+    shared here.
     """
 
     def __init__(self, bus: EventBus,
@@ -79,21 +76,6 @@ class SensingAppliance(Appliance):
         self.augmented = augmented
         self.topic = topic
         self._qualified: List[QualifiedClassification] = []
-
-    def process_stream(self, windows: Iterable[CueWindow]
-                       ) -> List[ContextEvent]:
-        """Process a stream of sensor windows (simulation driver).
-
-        All windows are classified in one batch; each one is then
-        qualified and published on its own, in stream order.
-        """
-        windows = list(windows)
-        if not windows:
-            return []
-        classifications = self.augmented.classifier.classify_batch(
-            np.vstack([w.cues for w in windows]))
-        return [self.publish_classification(c, w.time_s)
-                for c, w in zip(classifications, windows)]
 
     def publish_classification(self, classification: Classification,
                                time_s: float) -> ContextEvent:

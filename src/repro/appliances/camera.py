@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
+import numpy as np
+
 from ..core.filtering import QualityFilter
 from ..exceptions import ConfigurationError
 from ..sensors.accelerometer import WRITING
@@ -33,6 +35,44 @@ class Snapshot:
     session_start_s: float
     n_writing_events: int
     trigger_event_id: int
+
+
+@dataclasses.dataclass(frozen=True)
+class CameraReport:
+    """One camera's gating and snapshot outcome, as plain arrays.
+
+    ``threshold`` is the gate the camera ran with (``None``: ungated).
+    The per-snapshot arrays are aligned: entry ``i`` of each describes
+    the camera's ``i``-th snapshot.
+    """
+
+    name: str
+    threshold: Optional[float]
+    accepted_events: int
+    rejected_events: int
+    n_snapshots: int
+    snapshot_times: np.ndarray     # (n_snapshots,) picture times in s
+    session_starts: np.ndarray     # (n_snapshots,) session start times
+    n_writing_events: np.ndarray   # (n_snapshots,) events per session
+
+    @classmethod
+    def of(cls, camera: "WhiteboardCamera") -> "CameraReport":
+        """Reduce a (flushed) camera to its report."""
+        snaps = camera.snapshots
+        return cls(
+            name=camera.name,
+            threshold=(None if camera.gate is None
+                       else float(camera.gate.threshold)),
+            accepted_events=camera.accepted_events,
+            rejected_events=camera.rejected_events,
+            n_snapshots=len(snaps),
+            snapshot_times=np.asarray([s.time_s for s in snaps],
+                                      dtype=float),
+            session_starts=np.asarray([s.session_start_s for s in snaps],
+                                      dtype=float),
+            n_writing_events=np.asarray([s.n_writing_events for s in snaps],
+                                        dtype=int),
+        )
 
 
 class WhiteboardCamera(Appliance):

@@ -17,14 +17,14 @@ Subcommands::
 
 ``serve`` runs the TCP broker over an event-log directory; ``publish``
 streams scripted pen events at it from this process; ``tail`` prints
-logged records; ``record`` runs a gated AwareOffice scenario *on* the
-bus, leaving behind the event log, its ``meta.json`` sidecar and the
-golden trace of what the live camera saw; ``replay`` rebuilds the run
-from the log alone and (with ``--golden``) exits nonzero unless the
-replay is bit-identical; ``drill`` executes a failure-domain drill —
-in-process frame faults by default, the multi-process partition-kill
-drill with ``--network`` — and exits nonzero unless the system
-converged and the replay matches.
+logged records; ``record`` runs the one-pen office through the scenario
+runner *on* the broker, into an empty log directory, leaving behind the
+event log, its ``meta.json`` sidecar and the golden trace of what the
+live camera saw; ``replay`` rebuilds the run from the log alone and
+(with ``--golden``) exits nonzero unless the replay is bit-identical;
+``drill`` executes a failure-domain drill — in-process frame faults by
+default, the multi-process partition-kill drill with ``--network`` —
+and exits nonzero unless the system converged and the replay matches.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def add_bus_parser(sub) -> None:
     tail.add_argument("--count", type=int, default=None, metavar="N")
 
     rec = ops.add_parser(
-        "record", help="run a gated AwareOffice scenario on the bus")
+        "record", help="run the one-pen office on the bus")
     rec.add_argument("--log-dir", required=True, metavar="DIR")
     rec.add_argument("--seed", type=int, default=7)
     rec.add_argument("--blocks", type=int, default=2)
@@ -175,42 +175,37 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 def _cmd_record(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from ..appliances.awarepen import PEN_TOPIC
-    from ..appliances.office import AwareOffice
-    from ..core.filtering import QualityFilter
+    from ..cli import print_office_run
     from ..datasets.activities import evaluation_script
-    from ..experiment import run_awarepen_experiment
-    from .broker import BrokerCore
-    from .client import BusClient, InProcLink
+    from ..scenarios import office_spec, run_scenario_on
+    from .log import EventLog
     from .replay import RunMeta, capture_bus_trace, dedupe_events, \
         read_log_events
 
-    result = run_awarepen_experiment(seed=args.seed)
-    gate = None if args.ungated else QualityFilter(result.threshold)
     log_dir = pathlib.Path(args.log_dir)
-    core = BrokerCore(log_dir)
-    client = BusClient(InProcLink(core), from_start=True)
-    office = AwareOffice(result.augmented, gate=gate, bus=client)
-    rng = np.random.default_rng(args.seed + 100)
+    with EventLog(log_dir) as log:
+        used = log.next_offset
+    if used:
+        print(f"{log_dir} already holds {used} records; record into an "
+              "empty log directory", file=sys.stderr)
+        return 2
     script = evaluation_script(np.random.default_rng(args.seed + 100),
                                blocks=args.blocks)
-    run = office.run_scenario(script, rng)
-    core.close()
-
-    meta = RunMeta(seed=args.seed,
-                   gate_threshold=None if gate is None else gate.threshold,
-                   gate_epsilon_policy=(gate.epsilon_policy.value
-                                        if gate is not None else "reject"),
-                   camera_topic=PEN_TOPIC)
-    meta.save(log_dir)
+    spec = office_spec(script, gated=not args.ungated)
+    run = run_scenario_on(spec, seed=args.seed, transport="broker",
+                          log_dir=log_dir)
+    [camera] = run.cameras
+    [pen] = spec.sensing_appliances()
+    RunMeta(seed=args.seed, gate_threshold=camera.threshold,
+            camera_topic=pen.resolved_topic()).save(log_dir)
     events = dedupe_events(read_log_events(log_dir))
-    trace = capture_bus_trace(args.seed, events, camera=office.camera)
+    trace = capture_bus_trace(args.seed, events, camera=camera)
     golden_path = pathlib.Path(args.golden_out) if args.golden_out \
         else log_dir / "golden.json"
     trace.save(golden_path)
-    print(f"office-on-bus run recorded: {run.n_windows} windows, "
-          f"{run.n_snapshots} snapshots, {len(events)} events logged")
-    print(f"event log in {log_dir}, golden trace at {golden_path}")
+    print_office_run(run)
+    print(f"event log in {log_dir} ({len(events)} events), "
+          f"golden trace at {golden_path}")
     return 0
 
 

@@ -2,9 +2,9 @@
 
 :class:`BusClient` speaks the same ``subscribe`` / ``publish`` surface
 as :class:`repro.appliances.bus.EventBus`, so every appliance runs
-unmodified on either bus — ``AwareOffice(..., bus=BusClient(link))`` is
-the whole migration.  Under that surface it implements the consumer half
-of at-least-once delivery:
+unmodified on either bus — ``run_scenario(spec, bus=BusClient(link))``
+is the whole migration.  Under that surface it implements the consumer
+half of at-least-once delivery:
 
 * **acks are contiguous** — per (topic, partition) the client acks the
   highest index such that *every* index from the subscription's start

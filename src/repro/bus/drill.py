@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..appliances.bus import EventBus
-from ..appliances.camera import WhiteboardCamera
+from ..appliances.camera import CameraReport, WhiteboardCamera
 from ..appliances.messages import ContextEvent
 from ..core.filtering import QualityFilter
 from ..exceptions import BusError, ConfigurationError
@@ -131,7 +131,7 @@ def scripted_pen_events(seed: int, n_events: int,
 
 def _run_clean(events: List[ContextEvent],
                gate: Optional[QualityFilter]) -> Tuple[_Recorder,
-                                                       WhiteboardCamera]:
+                                                       CameraReport]:
     bus = EventBus()
     camera = WhiteboardCamera(bus, gate=gate)
     recorder = _Recorder()
@@ -139,7 +139,7 @@ def _run_clean(events: List[ContextEvent],
     for event in events:
         bus.publish(event)
     camera.flush(events[-1].time_s)
-    return recorder, camera
+    return recorder, CameraReport.of(camera)
 
 
 def run_inproc_fault_drill(log_dir, seed: int = 7, n_events: int = 140,
@@ -216,7 +216,8 @@ def run_inproc_fault_drill(log_dir, seed: int = 7, n_events: int = 140,
 
     clean_trace = capture_bus_trace(seed, clean_recorder.events,
                                     camera=clean_camera)
-    live_trace = capture_bus_trace(seed, recorder.events, camera=camera)
+    live_trace = capture_bus_trace(seed, recorder.events,
+                                   camera=CameraReport.of(camera))
     state_diff = diff_traces(live_trace, clean_trace, rtol=0.0, atol=0.0)
     converged = converged and state_diff.passed
 

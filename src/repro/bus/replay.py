@@ -15,9 +15,10 @@ kinds of stages:
   make the trace insensitive to cross-source interleaving, which
   at-least-once delivery does not (and need not) pin.
 * ``camera`` — the whiteboard camera's decisions (snapshot times,
-  session starts, writing-event counts, accepted/rejected totals) when
-  the run drove one; this pins the *appliance-visible* outcome, the
-  paper's actual object of interest.
+  session starts, writing-event counts, accepted/rejected totals, from
+  its :class:`~repro.appliances.camera.CameraReport`) when the run
+  drove one; this pins the *appliance-visible* outcome, the paper's
+  actual object of interest.
 
 :func:`replay_log` rebuilds the same trace from the log: read records
 in offset order, drop publisher-retry duplicates on ``(source, seq)``,
@@ -39,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..appliances.bus import EventBus
-from ..appliances.camera import WhiteboardCamera
+from ..appliances.camera import CameraReport, WhiteboardCamera
 from ..appliances.messages import ContextEvent
 from ..core.filtering import EpsilonPolicy, QualityFilter
 from ..exceptions import BusError, ConfigurationError
@@ -119,7 +120,7 @@ def dedupe_events(events: Sequence[ContextEvent]) -> List[ContextEvent]:
 
 
 def capture_bus_trace(seed: int, events: Sequence[ContextEvent],
-                      camera: Optional[WhiteboardCamera] = None
+                      camera: Optional[CameraReport] = None
                       ) -> GoldenTrace:
     """Build the golden trace of one bus run.
 
@@ -150,17 +151,13 @@ def capture_bus_trace(seed: int, events: Sequence[ContextEvent],
             arrays=tuple(ArrayRecord.capture(name, array)
                          for name, array in arrays)))
     if camera is not None:
-        snaps = camera.snapshots
         arrays = [
-            ("snapshot_times", np.array([s.time_s for s in snaps],
-                                        dtype=float)),
-            ("session_starts", np.array([s.session_start_s for s in snaps],
-                                        dtype=float)),
-            ("n_writing_events", np.array([s.n_writing_events
-                                           for s in snaps], dtype=float)),
+            ("snapshot_times", camera.snapshot_times),
+            ("session_starts", camera.session_starts),
+            ("n_writing_events", camera.n_writing_events.astype(float)),
             ("totals", np.array([camera.accepted_events,
                                  camera.rejected_events,
-                                 len(snaps)], dtype=float)),
+                                 camera.n_snapshots], dtype=float)),
         ]
         stages.append(StageRecord(
             stage="camera",
@@ -192,7 +189,7 @@ def replay_log(log_dir, meta: Optional[RunMeta] = None) -> GoldenTrace:
     """
     meta = meta if meta is not None else RunMeta.load(log_dir)
     events = dedupe_events(read_log_events(log_dir))
-    camera: Optional[WhiteboardCamera] = None
+    report: Optional[CameraReport] = None
     if meta.camera_topic is not None:
         bus = EventBus()
         camera = WhiteboardCamera(bus, gate=meta.gate(),
@@ -202,7 +199,8 @@ def replay_log(log_dir, meta: Optional[RunMeta] = None) -> GoldenTrace:
             bus.publish(event)
             last_time = max(last_time, event.time_s)
         camera.flush(last_time)
-    return capture_bus_trace(meta.seed, events, camera=camera)
+        report = CameraReport.of(camera)
+    return capture_bus_trace(meta.seed, events, camera=report)
 
 
 def check_replay(log_dir, golden_path,

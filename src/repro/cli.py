@@ -6,6 +6,7 @@ Usage::
                                [--save PACKAGE.json]
     python -m repro report     [--seed N]
     python -m repro office     [--seed N] [--blocks N] [--ungated]
+                               [--script DSL]
     python -m repro inspect    PACKAGE.json
     python -m repro multiseed  [--seeds N N ...] [--parallel BACKEND]
                                [--workers N]
@@ -29,8 +30,9 @@ Usage::
 
 ``experiment`` runs the full pipeline and prints the evaluation summary;
 ``report`` prints the paper-style statistics (populations, threshold,
-probabilities); ``office`` simulates the AwareOffice with a gated (or
-ungated) camera; ``inspect`` describes a saved quality package;
+probabilities); ``office`` runs the one-pen office (AwarePen and a
+gated or ungated whiteboard camera) through the scenario runner;
+``inspect`` describes a saved quality package;
 ``multiseed`` replicates the experiment across seeds, optionally fanning
 the runs out over the ``thread``/``process`` execution backends
 (``--parallel``, or the ``REPRO_PARALLEL`` environment variable);
@@ -73,7 +75,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import ConstructionConfig, DegradationPolicy, QualityFilter
+from .core import ConstructionConfig, DegradationPolicy
 from .core.persistence import QualityPackage
 from .experiment import run_awarepen_experiment
 from .parallel import BACKENDS, ENV_VAR
@@ -283,30 +285,36 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_office(args: argparse.Namespace) -> int:
-    from .appliances import AwareOffice
     from .datasets.activities import evaluation_script
+    from .scenarios import office_spec, run_scenario
 
-    result = run_awarepen_experiment(seed=args.seed)
-    gate = None if args.ungated else QualityFilter(result.threshold)
-    office = AwareOffice(result.augmented, gate=gate)
-    rng = np.random.default_rng(args.seed + 100)
     if args.script:
         from .datasets.dsl import parse_scenario
         script = parse_scenario(args.script)
     else:
         script = evaluation_script(np.random.default_rng(args.seed + 100),
                                    blocks=args.blocks)
-    run = office.run_scenario(script, rng)
-    mode = "ungated" if args.ungated else f"gated at s={result.threshold:.3f}"
-    print(f"office run ({mode}): {run.n_windows} windows, raw pen "
-          f"accuracy {run.pen_accuracy:.2f}")
-    print(f"camera: accepted {run.accepted_events}, rejected "
-          f"{run.rejected_events}, snapshots {run.n_snapshots}")
-    for snap in office.camera.snapshots:
-        print(f"  snapshot at t={snap.time_s:7.1f}s "
-              f"(session from {snap.session_start_s:.1f}s, "
-              f"{snap.n_writing_events} writing events)")
+    run = run_scenario(office_spec(script, gated=not args.ungated),
+                       seed=args.seed)
+    print_office_run(run)
     return 0
+
+
+def print_office_run(run) -> None:
+    """Print a one-pen office run: pen accuracy, camera gate, snapshots."""
+    [camera] = run.cameras
+    mode = ("ungated" if camera.threshold is None
+            else f"gated at s={camera.threshold:.3f}")
+    print(f"office run ({mode}): {run.n_windows} windows, raw pen "
+          f"accuracy {run.accuracy:.2f}")
+    print(f"camera: accepted {camera.accepted_events}, rejected "
+          f"{camera.rejected_events}, snapshots {camera.n_snapshots}")
+    for time_s, start_s, n_writing in zip(camera.snapshot_times,
+                                          camera.session_starts,
+                                          camera.n_writing_events):
+        print(f"  snapshot at t={time_s:7.1f}s "
+              f"(session from {start_s:.1f}s, "
+              f"{n_writing} writing events)")
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:

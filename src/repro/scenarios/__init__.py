@@ -10,7 +10,8 @@ from .registry import (clear, discover, get, iter_specs, load_scenario_file,
 from .runner import (ScenarioRunResult, capture_scenario_trace, run_scenario,
                      run_scenario_on)
 from .spec import (ApplianceSpec, ClassifierSpec, FaultWindowSpec,
-                   ScenarioSpec, SegmentSpec, SensorSpec, StyleSpec)
+                   ScenarioSpec, SegmentSpec, SensorSpec, StyleSpec,
+                   office_spec)
 
 __all__ = [
     "ApplianceSpec",
@@ -28,6 +29,7 @@ __all__ = [
     "iter_specs",
     "load_scenario_file",
     "names",
+    "office_spec",
     "register",
     "run_scenario",
     "run_scenario_on",

@@ -27,7 +27,7 @@ import numpy as np
 from ..appliances.base import Appliance
 from ..appliances.awarepen import AwarePen
 from ..appliances.bus import EventBus
-from ..appliances.camera import WhiteboardCamera
+from ..appliances.camera import CameraReport, WhiteboardCamera
 from ..appliances.chair import AwareChair
 from ..appliances.display import OfficeDisplay
 from ..appliances.situation import SituationDetector
@@ -54,17 +54,6 @@ class ApplianceEvents:
     true_indices: np.ndarray       # (n,) ground-truth class indices
     predicted_indices: np.ndarray  # (n,) published class indices
     qualities: np.ndarray          # (n,) q in [0, 1]; NaN = epsilon
-
-
-@dataclasses.dataclass(frozen=True)
-class CameraReport:
-    """One camera's gating and snapshot outcome."""
-
-    name: str
-    accepted_events: int
-    rejected_events: int
-    n_snapshots: int
-    snapshot_times: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,14 +190,7 @@ def run_scenario(spec: ScenarioSpec, seed: int = 7,
             ))
         elif app.kind == "camera":
             obj.flush(last_time.get(app.inputs[0], 0.0))
-            cameras.append(CameraReport(
-                name=app.name,
-                accepted_events=obj.accepted_events,
-                rejected_events=obj.rejected_events,
-                n_snapshots=len(obj.snapshots),
-                snapshot_times=np.asarray(
-                    [s.time_s for s in obj.snapshots], dtype=float),
-            ))
+            cameras.append(CameraReport.of(obj))
         elif app.kind == "situation":
             situations.append(SituationReport(
                 name=app.name,

@@ -790,3 +790,45 @@ class ScenarioSpec:
                 require_default("threshold", None)
                 require_default("min_session_events", 2)
                 require_default("min_quality", 0.0)
+
+
+# ----------------------------------------------------------------------
+def office_spec(segments: Sequence[Segment], gated: bool = True
+                ) -> ScenarioSpec:
+    """The paper's one-pen office as a spec: an AwarePen whose q gates
+    (or, with ``gated=False``, does not gate) a whiteboard camera.
+
+    Each :class:`Segment` converts by name: its activity is the model's
+    context name in the pen registry, its style the name it has in
+    :data:`repro.datasets.dsl.STYLES`.  A model or style not registered
+    under those names raises :class:`ScenarioError`.
+    """
+    from .activities import FAMILY_MODELS  # local: avoids cycle
+
+    models = FAMILY_MODELS["pen"]
+    specs = []
+    for i, seg in enumerate(segments):
+        activity = seg.model.context.name
+        if models.get(activity) is not seg.model:
+            raise ScenarioError(
+                f"office segment[{i}]: activity model {activity!r} is not "
+                f"the registered pen model; available: {sorted(models)}")
+        style = next((name for name, s in STYLES.items()
+                      if s == seg.style), None)
+        if style is None:
+            raise ScenarioError(
+                f"office segment[{i}]: style {seg.style!r} is not a named "
+                f"style; available: {sorted(STYLES)}")
+        specs.append(SegmentSpec(activity=activity,
+                                 duration_s=seg.duration_s, style=style))
+    return ScenarioSpec(
+        name="office",
+        description="The one-pen office: AwarePen and whiteboard camera.",
+        sensors=(SensorSpec(name="pen-accel", family="pen",
+                            segments=tuple(specs)),),
+        appliances=(
+            ApplianceSpec(name="awarepen", kind="pen", sensor="pen-accel",
+                          topic="context.pen"),
+            ApplianceSpec(name="whiteboard-camera", kind="camera",
+                          inputs=("awarepen",), gated=gated),
+        ))

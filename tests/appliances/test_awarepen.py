@@ -45,43 +45,18 @@ class TestAwarePen:
         last = pen.last_quality()
         assert last is None or 0.0 <= last <= 1.0
 
-    def test_process_stream(self, pen, material, rng):
-        from repro.datasets.activities import evaluation_script
-        from repro.sensors.node import SensorNode
-        node = SensorNode()
-        windows = node.collect(evaluation_script(rng, blocks=1), rng,
-                               pen.augmented.classes)
-        events = pen.process_stream(windows)
-        assert len(events) == len(windows)
-        times = [e.time_s for e in events]
-        assert times == sorted(times)
-
-    def test_stream_matches_window_by_window(self, experiment, rng):
-        """One batched classify per stream emits exactly the events that
-        classifying each window on its own does."""
-        from repro.datasets.activities import evaluation_script
-        from repro.sensors.node import SensorNode
-        windows = SensorNode().collect(evaluation_script(rng, blocks=1),
-                                       rng, experiment.augmented.classes)
-        batched = AwarePen(EventBus(), experiment.augmented)
-        single = AwarePen(EventBus(), experiment.augmented)
-        streamed = batched.process_stream(windows)
-        one_by_one = [single.process_window(w.cues, time_s=w.time_s)
-                      for w in windows]
-        assert [event_fields(e) for e in streamed] == \
-            [event_fields(e) for e in one_by_one]
-        assert [h.quality for h in batched.history] == \
-            [h.quality for h in single.history]
-
-    def test_empty_stream_publishes_nothing(self, pen):
-        assert pen.process_stream([]) == []
-        assert pen.published_events == []
+    def test_stream_matches_window_by_window(
+            self, runner_and_window_by_window):
+        """The runner's one batched classify per stream publishes exactly
+        the events that processing each window on its own does."""
+        events, (times, classes, q) = runner_and_window_by_window(
+            "awarepen-baseline", AwarePen)
+        assert events.times.size > 0
+        assert np.array_equal(events.times, times)
+        assert np.array_equal(events.predicted_indices, classes)
+        assert np.array_equal(events.qualities, q, equal_nan=True)
+        assert np.isnan(q).any()  # the stream exercises epsilon
 
     def test_describe(self, pen):
         assert "AwarePen" in pen.describe()
 
-
-def event_fields(event):
-    """Everything a subscriber sees of an event except its global id."""
-    return (event.source, event.topic, event.context.index, event.quality,
-            event.seq, event.time_s)

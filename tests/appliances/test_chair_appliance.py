@@ -10,7 +10,7 @@ from repro.core import (ConstructionConfig, QualityAugmentedClassifier,
                         build_quality_measure)
 from repro.datasets.generator import generate_dataset
 from repro.sensors.chair import AWARECHAIR_CLASSES, CHAIR_MODELS
-from repro.sensors.node import Segment, SensorNode
+from repro.sensors.node import Segment
 
 
 def chair_script(rng, repetitions=3):
@@ -84,23 +84,13 @@ class TestAwareChair:
         assert len(chair.history) == 2
         assert "AwareChair" in chair.describe()
 
-    def test_stream_matches_window_by_window(self, chair_augmented):
-        """One batched classify per stream emits exactly the events that
-        classifying each window on its own does."""
-        rng = np.random.default_rng(87)
-        windows = SensorNode().collect(chair_script(rng, 2), rng,
-                                       AWARECHAIR_CLASSES)
-        batched = AwareChair(EventBus(), chair_augmented)
-        single = AwareChair(EventBus(), chair_augmented)
-        streamed = batched.process_stream(windows)
-        one_by_one = [single.process_window(w.cues, time_s=w.time_s)
-                      for w in windows]
-        assert len(streamed) == len(windows)
-        assert [event_fields(e) for e in streamed] == \
-            [event_fields(e) for e in one_by_one]
-
-
-def event_fields(event):
-    """Everything a subscriber sees of an event except its global id."""
-    return (event.source, event.topic, event.context.index, event.quality,
-            event.seq, event.time_s)
+    def test_stream_matches_window_by_window(
+            self, runner_and_window_by_window):
+        """The runner's one batched classify per stream publishes exactly
+        the events that processing each window on its own does."""
+        events, (times, classes, q) = runner_and_window_by_window(
+            "awarechair-baseline", AwareChair)
+        assert events.times.size > 0
+        assert np.array_equal(events.times, times)
+        assert np.array_equal(events.predicted_indices, classes)
+        assert np.array_equal(events.qualities, q, equal_nan=True)

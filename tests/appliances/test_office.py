@@ -1,13 +1,13 @@
-"""Tests for repro.appliances.office — the integrated AwareOffice."""
+"""Tests for the one-pen AwareOffice run: ``office_spec`` through the
+scenario runner, the path ``repro office`` and ``repro bus record`` take."""
 
-import numpy as np
 import pytest
 
 from repro.appliances.base import Appliance
-from repro.appliances.office import AwareOffice
-from repro.core.filtering import QualityFilter
+from repro.appliances.bus import EventBus
 from repro.datasets.activities import evaluation_script
 from repro.exceptions import ConfigurationError
+from repro.scenarios import models, office_spec, run_scenario
 
 
 class RecorderAppliance(Appliance):
@@ -22,59 +22,55 @@ class RecorderAppliance(Appliance):
         return "recorder"
 
 
+@pytest.fixture(autouse=True)
+def primed_pen_model(experiment):
+    """Run the office on the session experiment's seed-7 pen model."""
+    models.prime_pen_model(experiment.augmented, experiment.threshold,
+                           seed=7)
+
+
+def run_office(rng, blocks, gated=True):
+    spec = office_spec(evaluation_script(rng, blocks=blocks), gated=gated)
+    run = run_scenario(spec, seed=7)
+    [camera] = run.cameras
+    return run, camera
+
+
 class TestAwareOffice:
-    def test_run_scenario(self, experiment, rng):
-        office = AwareOffice(experiment.augmented,
-                             gate=QualityFilter(experiment.threshold))
-        report = office.run_scenario(evaluation_script(rng, blocks=2), rng)
-        assert report.n_windows > 0
-        assert (report.correct_decisions + report.wrong_decisions
-                == report.n_windows)
-        assert (report.accepted_events + report.rejected_events
-                == report.n_windows)
+    def test_run_scenario(self, rng):
+        run, camera = run_office(rng, blocks=2)
+        assert run.n_windows > 0
+        assert run.n_correct + run.n_wrong == run.n_windows
+        assert (camera.accepted_events + camera.rejected_events
+                == run.n_windows)
 
-    def test_gated_office_rejects_some_events(self, experiment, rng):
-        office = AwareOffice(experiment.augmented,
-                             gate=QualityFilter(experiment.threshold))
-        report = office.run_scenario(evaluation_script(rng, blocks=3), rng)
-        assert report.rejected_events > 0
+    def test_gated_office_rejects_some_events(self, rng, experiment):
+        run, camera = run_office(rng, blocks=3)
+        assert camera.threshold == experiment.threshold
+        assert camera.rejected_events > 0
 
-    def test_ungated_office_accepts_everything(self, experiment, rng):
-        office = AwareOffice(experiment.augmented, gate=None)
-        report = office.run_scenario(evaluation_script(rng, blocks=2), rng)
-        assert report.rejected_events == 0
-        assert report.accepted_events == report.n_windows
+    def test_ungated_office_accepts_everything(self, rng):
+        run, camera = run_office(rng, blocks=2, gated=False)
+        assert camera.threshold is None
+        assert camera.rejected_events == 0
+        assert camera.accepted_events == run.n_windows
 
-    def test_writing_sessions_photographed(self, experiment, rng):
-        office = AwareOffice(experiment.augmented,
-                             gate=QualityFilter(experiment.threshold))
-        report = office.run_scenario(evaluation_script(rng, blocks=3), rng)
+    def test_writing_sessions_photographed(self, rng):
+        _run, camera = run_office(rng, blocks=3)
         # The scenario contains real writing sessions; at least one must
         # survive the gate and be photographed.
-        assert report.n_snapshots >= 1
+        assert camera.n_snapshots >= 1
+        assert (camera.snapshot_times.shape == camera.session_starts.shape
+                == camera.n_writing_events.shape == (camera.n_snapshots,))
+        assert (camera.session_starts <= camera.snapshot_times).all()
+        assert (camera.n_writing_events >= 2).all()
 
-    def test_extra_appliances(self, experiment, rng):
-        office = AwareOffice(experiment.augmented)
-        recorder = RecorderAppliance(office.bus)
-        office.add_appliance(recorder)
-        assert recorder in office.appliances()
-        office.run_scenario(evaluation_script(rng, blocks=1), rng)
-        assert len(recorder.events) > 0
-
-    def test_duplicate_appliance_name_rejected(self, experiment):
-        office = AwareOffice(experiment.augmented)
-        office.add_appliance(RecorderAppliance(office.bus, name="r"))
-        with pytest.raises(ConfigurationError):
-            office.add_appliance(RecorderAppliance(office.bus, name="r"))
-
-    def test_pen_accuracy_reported(self, experiment, rng):
-        office = AwareOffice(experiment.augmented)
-        report = office.run_scenario(evaluation_script(rng, blocks=2), rng)
-        assert 0.0 <= report.pen_accuracy <= 1.0
+    def test_pen_accuracy_reported(self, rng):
+        run, _camera = run_office(rng, blocks=2)
+        assert 0.0 <= run.accuracy <= 1.0
 
 
 class TestApplianceBase:
-    def test_name_required(self, experiment):
-        office = AwareOffice(experiment.augmented)
+    def test_name_required(self):
         with pytest.raises(ConfigurationError):
-            RecorderAppliance(office.bus, name="")
+            RecorderAppliance(EventBus(), name="")

@@ -1,13 +1,17 @@
 """Tests for the ``repro bus`` CLI subcommands."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.bus.broker import BrokerCore, BusConfig
 from repro.bus.drill import scripted_pen_events
-from repro.bus.replay import RunMeta
+from repro.bus.replay import (RunMeta, capture_bus_trace, dedupe_events,
+                              read_log_events)
 from repro.cli import main
+from repro.scenarios import models
+from repro.verify.golden import GoldenTrace
 
 from ..conftest import read_until
 
@@ -59,6 +63,60 @@ class TestBusReplay:
         RunMeta(seed=3).save(tmp_path / "log")
         assert main(["bus", "replay", "--log-dir", str(tmp_path / "log"),
                      "--golden", str(tmp_path / "nope.json")]) == 2
+
+
+class TestBusRecord:
+    @pytest.fixture(autouse=True)
+    def primed_pen_model(self, experiment):
+        models.prime_pen_model(experiment.augmented, experiment.threshold,
+                               seed=7)
+
+    def record(self, log_dir, *extra):
+        return main(["bus", "record", "--seed", "7", "--blocks", "1",
+                     "--log-dir", str(log_dir), *extra])
+
+    def test_prints_the_office_counts(self, capsys, tmp_path):
+        assert main(["office", "--seed", "7", "--blocks", "1"]) == 0
+        office = capsys.readouterr().out.splitlines()
+        assert office[0].startswith("office run (gated at s=")
+        assert self.record(tmp_path / "log") == 0
+        record = capsys.readouterr().out.splitlines()
+        assert record[:len(office)] == office
+
+    @pytest.mark.parametrize("extra", [(), ("--ungated",)])
+    def test_record_then_replay_passes(self, capsys, tmp_path, extra):
+        assert self.record(tmp_path / "log", *extra) == 0
+        threshold = RunMeta.load(tmp_path / "log").gate_threshold
+        assert (threshold is None) == bool(extra)
+        assert main(["bus", "replay", "--log-dir",
+                     str(tmp_path / "log")]) == 0
+        assert "all stage probes match" in capsys.readouterr().out
+
+    def test_changed_quality_fails_replay_at_its_stage(self, capsys,
+                                                       tmp_path):
+        log_dir = tmp_path / "log"
+        assert self.record(log_dir) == 0
+        golden_path = log_dir / "golden.json"
+        golden = GoldenTrace.load(golden_path)
+        events = dedupe_events(read_log_events(log_dir))
+        events[4] = dataclasses.replace(events[4], quality=0.123456)
+        [tampered] = capture_bus_trace(7, events).stages
+        GoldenTrace(seed=golden.seed, stages=tuple(
+            tampered if stage.stage == tampered.stage else stage
+            for stage in golden.stages)).save(golden_path)
+        capsys.readouterr()
+        assert main(["bus", "replay", "--log-dir", str(log_dir)]) == 1
+        assert "events:awarepen" in capsys.readouterr().out
+
+    def test_used_log_dir_refused(self, capsys, tmp_path):
+        assert self.record(tmp_path / "log") == 0
+        golden = (tmp_path / "log" / "golden.json").read_bytes()
+        capsys.readouterr()
+        assert self.record(tmp_path / "log") == 2
+        assert "already holds" in capsys.readouterr().err
+        assert (tmp_path / "log" / "golden.json").read_bytes() == golden
+        assert main(["bus", "replay", "--log-dir",
+                     str(tmp_path / "log")]) == 0
 
 
 class TestBusDrill:

@@ -1,77 +1,72 @@
-"""The tentpole pin: AwareOffice runs unmodified on the distributed bus.
+"""The one-pen office runs unmodified on the distributed bus.
 
-Same appliances, same ``subscribe``/``publish`` surface — an office
-wired to a :class:`~repro.bus.client.BusClient` over an in-process
-broker must produce *bit-identical* results to one on the plain
-:class:`~repro.appliances.bus.EventBus`, and the broker's event log
-must replay to the same golden trace (ISSUE 9 acceptance criterion).
+Same spec, same appliances, same ``subscribe``/``publish`` surface —
+``run_scenario_on`` over the broker must produce *bit-identical* results
+to the plain :class:`~repro.appliances.bus.EventBus`, and the broker's
+event log must replay to the same golden trace.
 """
 
 import numpy as np
 import pytest
 
 from repro.appliances.awarepen import PEN_TOPIC
-from repro.appliances.bus import EventBus
-from repro.appliances.office import AwareOffice
-from repro.bus.broker import BrokerCore, BusConfig
-from repro.bus.client import BusClient, InProcLink
 from repro.bus.replay import (RunMeta, capture_bus_trace, check_replay,
                               dedupe_events, read_log_events)
-from repro.core.filtering import QualityFilter
 from repro.datasets.activities import evaluation_script
+from repro.scenarios import (capture_scenario_trace, models, office_spec,
+                             run_scenario_on)
+from repro.verify.golden import diff_traces
 
 
-def run_office(experiment, bus, seed=123, blocks=2):
-    office = AwareOffice(experiment.augmented,
-                         gate=QualityFilter(experiment.threshold),
-                         bus=bus)
-    script = evaluation_script(np.random.default_rng(seed), blocks=blocks)
-    report = office.run_scenario(script, np.random.default_rng(seed))
-    return office, report
+@pytest.fixture(autouse=True)
+def primed_pen_model(experiment):
+    models.prime_pen_model(experiment.augmented, experiment.threshold,
+                           seed=7)
 
 
-@pytest.fixture
-def broker(tmp_path):
-    config = BusConfig(n_partitions=2, fsync_every=8)
-    with BrokerCore(tmp_path / "log", config) as core:
-        yield core
+def run_office(transport, log_dir=None, blocks=2):
+    spec = office_spec(evaluation_script(np.random.default_rng(123),
+                                         blocks=blocks))
+    return run_scenario_on(spec, seed=7, transport=transport,
+                           log_dir=log_dir)
 
 
 class TestOfficeOnBus:
-    def test_reports_bit_identical_to_eventbus(self, experiment, broker):
-        _office_a, on_eventbus = run_office(experiment, EventBus())
-        client = BusClient(InProcLink(broker))
-        _office_b, on_busclient = run_office(experiment, client)
-        assert on_busclient == on_eventbus  # same dataclass, same bits
+    def test_reports_bit_identical_to_eventbus(self):
+        on_eventbus = run_office("eventbus")
+        on_broker = run_office("broker")
+        diff = diff_traces(capture_scenario_trace(on_broker),
+                           capture_scenario_trace(on_eventbus),
+                           rtol=0.0, atol=0.0)
+        assert diff.passed, diff.to_text()
 
-    def test_snapshots_identical(self, experiment, broker):
-        office_a, _ = run_office(experiment, EventBus())
-        client = BusClient(InProcLink(broker))
-        office_b, _ = run_office(experiment, client)
-        assert office_b.camera.snapshots == office_a.camera.snapshots
+    def test_snapshots_identical(self):
+        [a] = run_office("eventbus").cameras
+        [b] = run_office("broker").cameras
+        assert a.n_snapshots > 0
+        assert (b.name, b.threshold, b.n_snapshots) == (
+            a.name, a.threshold, a.n_snapshots)
+        for field in ("snapshot_times", "session_starts",
+                      "n_writing_events"):
+            assert np.array_equal(getattr(b, field), getattr(a, field))
 
-    def test_every_pen_event_logged(self, experiment, broker):
-        client = BusClient(InProcLink(broker))
-        _office, report = run_office(experiment, client)
-        broker.log.sync()  # readers see only flushed appends
-        events = read_log_events(broker.log.root)
-        assert len(events) == report.n_windows
+    def test_every_pen_event_logged(self, tmp_path):
+        run = run_office("broker", log_dir=tmp_path)
+        events = read_log_events(tmp_path)
+        assert len(events) == run.n_windows
         assert all(e.topic == PEN_TOPIC for e in events)
         assert [e.seq for e in events] == list(range(1,
                                                      len(events) + 1))
 
-    def test_logged_run_replays_bit_identically(self, experiment, broker):
-        seed = 123
-        client = BusClient(InProcLink(broker))
-        office, _report = run_office(experiment, client, seed=seed)
-        broker.log.sync()
-        RunMeta(seed=seed, gate_threshold=experiment.threshold,
-                camera_topic=PEN_TOPIC).save(broker.log.root)
+    def test_logged_run_replays_bit_identically(self, tmp_path):
+        run = run_office("broker", log_dir=tmp_path)
+        [camera] = run.cameras
+        RunMeta(seed=7, gate_threshold=camera.threshold,
+                camera_topic=PEN_TOPIC).save(tmp_path)
         live = capture_bus_trace(
-            seed, dedupe_events(read_log_events(broker.log.root)),
-            camera=office.camera)
-        golden_path = broker.log.root / "golden.json"
+            7, dedupe_events(read_log_events(tmp_path)), camera=camera)
+        golden_path = tmp_path / "golden.json"
         live.save(golden_path)
-        diff = check_replay(broker.log.root, golden_path)
+        diff = check_replay(tmp_path, golden_path)
         assert diff.passed, diff.to_text()
         assert diff.first_diverging_stage is None

@@ -7,7 +7,7 @@ import pytest
 
 from repro.appliances.awarepen import PEN_TOPIC
 from repro.appliances.bus import EventBus
-from repro.appliances.camera import WhiteboardCamera
+from repro.appliances.camera import CameraReport, WhiteboardCamera
 from repro.bus.broker import BrokerCore, BusConfig
 from repro.bus.drill import scripted_pen_events
 from repro.bus.replay import (RunMeta, capture_bus_trace, check_replay,
@@ -114,7 +114,7 @@ class TestReplayLog:
             bus.publish(e)
         camera.flush(max(e.time_s for e in events))
         assert camera.accepted_events > 0
-        live = capture_bus_trace(7, events, camera=camera)
+        live = capture_bus_trace(7, events, camera=CameraReport.of(camera))
 
         golden_path = tmp_path / "golden.json"
         live.save(golden_path)

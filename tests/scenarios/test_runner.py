@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.appliances.office import AwareOffice
-from repro.core.filtering import QualityFilter
 from repro.exceptions import ScenarioError
 from repro.scenarios import registry
-from repro.scenarios.activities import FAMILY_MODELS
 from repro.scenarios.models import model_for
 from repro.scenarios.runner import (capture_scenario_trace, run_scenario,
                                     run_scenario_on)
@@ -17,32 +14,6 @@ from repro.verify.golden import diff_traces
 
 
 class TestAwareOfficeEquivalence:
-    def test_baseline_matches_hardcoded_office(self, experiment,
-                                               scenario_runs):
-        """The declarative awarepen-baseline reproduces the imperative
-        AwareOffice run bit-for-bit: same windows, same decisions, same
-        camera gating — the zoo re-expresses the paper scenario, it does
-        not approximate it."""
-        spec = registry.get("awarepen-baseline")
-        sensor = spec.sensors[0]
-        segments = sensor.build_segments(spec.resolved_styles(),
-                                         FAMILY_MODELS["pen"])
-        office = AwareOffice(
-            experiment.augmented,
-            gate=QualityFilter(threshold=experiment.threshold),
-            node=sensor.build_node())
-        report = office.run_scenario(segments,
-                                     np.random.default_rng([7, 0]))
-
-        result = scenario_runs("awarepen-baseline")
-        camera = result.cameras[0]
-        assert report.n_windows == result.n_windows
-        assert report.correct_decisions == result.n_correct
-        assert report.wrong_decisions == result.n_wrong
-        assert report.accepted_events == camera.accepted_events
-        assert report.rejected_events == camera.rejected_events
-        assert report.n_snapshots == camera.n_snapshots
-
     def test_gate_rejects_something_ungated_accepts(self, scenario_runs):
         gated = scenario_runs("awarepen-baseline").cameras[0]
         ungated = scenario_runs("awarepen-ungated").cameras[0]

@@ -4,10 +4,16 @@ import dataclasses
 
 import pytest
 
+from repro.datasets.dsl import parse_scenario
 from repro.exceptions import ConfigurationError, ScenarioError
+from repro.scenarios.activities import FAMILY_MODELS
 from repro.scenarios.spec import (ApplianceSpec, ClassifierSpec,
                                   FaultWindowSpec, ScenarioSpec,
-                                  SegmentSpec, SensorSpec, StyleSpec)
+                                  SegmentSpec, SensorSpec, StyleSpec,
+                                  office_spec)
+from repro.sensors.accelerometer import (ACTIVITY_MODELS, UserStyle,
+                                         WritingModel)
+from repro.sensors.node import Segment
 
 
 def payload(**over):
@@ -348,3 +354,35 @@ class TestResolution:
     def test_styles_roundtrip(self):
         spec = StyleSpec(name="slow", tempo_scale=0.5)
         assert StyleSpec.from_dict(spec.to_dict()) == spec
+
+
+class TestOfficeSpec:
+    def test_converts_segments_by_name(self):
+        segments = parse_scenario("writing:6 playing:2@erratic lying:3")
+        spec = office_spec(segments).validate()
+        [sensor] = spec.sensors
+        assert sensor.segments == (
+            SegmentSpec("writing", 6.0),
+            SegmentSpec("playing", 2.0, style="erratic"),
+            SegmentSpec("lying", 3.0))
+        assert sensor.build_segments(spec.resolved_styles(),
+                                     FAMILY_MODELS["pen"]) == segments
+
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_pen_and_camera_wiring(self, gated):
+        spec = office_spec(parse_scenario("writing:2"), gated=gated)
+        pen, camera = spec.appliances
+        assert (pen.name, pen.kind, pen.resolved_topic()) == (
+            "awarepen", "pen", "context.pen")
+        assert (camera.name, camera.kind, camera.inputs, camera.gated) == (
+            "whiteboard-camera", "camera", ("awarepen",), gated)
+
+    def test_unnamed_style_rejected(self):
+        odd = Segment(ACTIVITY_MODELS["writing"], 2.0,
+                      style=UserStyle(amplitude_scale=3.0))
+        with pytest.raises(ScenarioError, match="not a named style"):
+            office_spec([odd])
+
+    def test_unregistered_model_rejected(self):
+        with pytest.raises(ScenarioError, match="registered pen model"):
+            office_spec([Segment(WritingModel(), 2.0)])
