@@ -16,7 +16,10 @@ that sees the same event.
 
 Events cross process boundaries as plain JSON objects via
 :meth:`ContextEvent.to_wire` / :meth:`ContextEvent.from_wire`; the wire
-form carries ``quality: null`` for the error state ε.
+form carries ``quality: null`` for the error state ε.  Each event is
+validated once per process boundary: a :class:`CheckedWire` is the wire
+form of an event that has already passed :meth:`ContextEvent.from_wire`,
+so in-process consumers take its event instead of parsing it again.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import dataclasses
 import math
 import threading
 import zlib
-from typing import Dict, Iterator, Mapping, Optional
+from collections.abc import Mapping
+from typing import Dict, Iterator, Optional
 
 from ..exceptions import ConfigurationError
 from ..types import ContextClass
@@ -158,24 +162,27 @@ class ContextEvent:
         if not isinstance(context, Mapping):
             raise ConfigurationError(
                 f"event context must be an object, got {context!r}")
+        index = context.get("index")
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ConfigurationError(
+                f"event context index must be an int, got {index!r}")
         try:
-            ctx = ContextClass(index=int(context["index"]),
-                               name=str(context["name"]))
+            ctx = ContextClass(index=index, name=str(context["name"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"bad event context {dict(context)!r}: {exc}") from exc
         quality = doc.get("quality")
         if quality is not None:
-            try:
-                quality = float(quality)
-            except (TypeError, ValueError) as exc:
+            if (not isinstance(quality, (int, float))
+                    or isinstance(quality, bool)):
                 raise ConfigurationError(
                     f"event quality must be null or a number, got "
-                    f"{quality!r}") from exc
-            if not math.isfinite(quality):
+                    f"{quality!r}")
+            quality = float(quality)
+            if not 0.0 <= quality <= 1.0:  # also rejects nan
                 raise ConfigurationError(
-                    f"event quality must be finite or null (epsilon), "
-                    f"got {quality!r}")
+                    f"event quality must lie in [0, 1] or be null "
+                    f"(epsilon), got {quality!r}")
         try:
             time_s = float(doc.get("time_s", 0.0))  # type: ignore[arg-type]
         except (TypeError, ValueError) as exc:
@@ -187,3 +194,22 @@ class ContextEvent:
                 f"event time_s must be finite, got {time_s!r}")
         return cls.create(source=source, topic=topic, context=ctx,
                           quality=quality, time_s=time_s, seq=seq)
+
+
+class CheckedWire(dict):
+    """The canonical wire form of an event that has passed validation.
+
+    To ``json`` and to every frame consumer this is the plain dict of
+    :meth:`ContextEvent.to_wire`, so it encodes byte-identically; an
+    in-process consumer reads :attr:`event` instead of calling
+    :meth:`ContextEvent.from_wire` on the same fields again.  Only the
+    code that just validated the event builds one (the broker's publish),
+    and nothing may mutate it afterwards.  A frame read off a socket is a
+    plain dict again and is parsed and validated on arrival.
+    """
+
+    __slots__ = ("event",)
+
+    def __init__(self, event: ContextEvent) -> None:
+        super().__init__(event.to_wire())
+        self.event = event

@@ -15,6 +15,10 @@ The transport-agnostic heart of :mod:`repro.bus`.  The broker owns
   partition rewinds each cursor to the acked watermark, so everything
   unacked is delivered again.  Consumers dedupe on ``(source, seq)``
   (:class:`~repro.bus.client.BusClient`).
+* **one validation per event** — :meth:`publish` parses the wire form
+  once and keeps it as a :class:`~repro.appliances.messages.CheckedWire`,
+  which the log line and every delivery frame reuse; in-process
+  consumers take the carried event instead of parsing the frame again.
 
 The core is synchronous and lock-protected; :mod:`repro.bus.server`
 wraps it in asyncio TCP, and the in-process link in
@@ -24,18 +28,20 @@ wraps it in asyncio TCP, and the in-process link in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import threading
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .. import observability as obs
 from ..appliances.bus import topic_matches
-from ..appliances.messages import ContextEvent
+from ..appliances.messages import CheckedWire, ContextEvent
 from ..exceptions import BusError, ConfigurationError
 from .log import EventLog
 
 #: A delivery callback: receives one JSON-safe ``{"bus": "ev", ...}``
-#: frame; raising marks the subscription dead (disconnected consumer).
+#: frame whose ``"event"`` is a :class:`CheckedWire`; raising marks the
+#: subscription dead (disconnected consumer).
 SendFn = Callable[[Dict[str, object]], None]
 
 #: (topic, partition) — the unit of ordering, kill/revive and cursors.
@@ -80,11 +86,14 @@ class BusConfig:
                 f"redelivery_ticks must be >= 1, got {self.redelivery_ticks}")
 
 
+@functools.lru_cache(maxsize=1024)
 def partition_for(key: str, n_partitions: int) -> int:
     """Stable partition assignment for a partition *key*.
 
     blake2b rather than :func:`hash` so the mapping is identical across
     processes and interpreter runs (``PYTHONHASHSEED`` does not apply).
+    Memoized: a deployment has a handful of sources, and each publish
+    would otherwise hash its source again.
     """
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % n_partitions
@@ -132,7 +141,7 @@ class BrokerCore:
                             segment_records=self.config.segment_records,
                             fsync_every=self.config.fsync_every)
         self._lock = threading.RLock()
-        self._records: Dict[PartitionKey, List[Tuple[int, Dict[str, object]]]]
+        self._records: Dict[PartitionKey, List[Tuple[int, CheckedWire]]]
         self._records = {}
         self._subs: Dict[int, _Subscription] = {}
         self._next_sid = 1
@@ -196,7 +205,7 @@ class BrokerCore:
             event = ContextEvent.from_wire(doc)
         except ConfigurationError as exc:
             raise BusError(f"rejected publish: {exc}") from exc
-        wire = event.to_wire()  # canonical form into the log
+        wire = CheckedWire(event)  # canonical form into the log and frames
         with self._lock:
             partition = partition_for(key if key is not None else event.source,
                                       self.config.n_partitions)
@@ -223,7 +232,7 @@ class BrokerCore:
 
     # -- delivery ------------------------------------------------------
     def _frame(self, sub: _Subscription, pkey: PartitionKey, index: int,
-               offset: int, wire: Dict[str, object],
+               offset: int, wire: CheckedWire,
                redelivery: bool) -> Dict[str, object]:
         return {"bus": "ev", "sid": sub.sid, "topic": pkey[0],
                 "partition": pkey[1], "index": index, "offset": offset,

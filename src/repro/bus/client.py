@@ -14,6 +14,10 @@ half of at-least-once delivery:
   dropped, out-of-order arrivals wait in a per-source pending buffer,
   and handlers observe each source's events exactly once, in sequence
   order, no matter how the wire mangled them.
+* **one validation per process boundary** — a frame from the in-process
+  broker carries the event the broker already validated (a
+  :class:`~repro.appliances.messages.CheckedWire`) and is used as is; a
+  frame read off TCP is a plain dict and is validated here.
 
 Two links are provided: :class:`InProcLink` calls a
 :class:`~repro.bus.broker.BrokerCore` directly (synchronous delivery —
@@ -32,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..appliances.bus import (DeliveryError, Handler, MAX_DELIVERY_ERRORS,
                               topic_matches)
-from ..appliances.messages import ContextEvent
+from ..appliances.messages import CheckedWire, ContextEvent
 from ..exceptions import BusError, ConfigurationError
 from .broker import BrokerCore, PartitionKey
 
@@ -361,7 +365,9 @@ class BusClient:
             topic = str(frame["topic"])
             partition = int(frame["partition"])        # type: ignore[arg-type]
             index = int(frame["index"])                # type: ignore[arg-type]
-            event = ContextEvent.from_wire(frame["event"])  # type: ignore[arg-type]
+            wire = frame["event"]
+            event = (wire.event if isinstance(wire, CheckedWire)
+                     else ContextEvent.from_wire(wire))  # type: ignore[arg-type]
             sid = int(frame["sid"])                    # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise BusError(f"malformed delivery frame: {exc}") from exc

@@ -58,8 +58,18 @@ class TestWireRoundTrip:
         {"topic": None},
         {"context": "writing"},
         {"context": {"index": "x", "name": "writing"}},
+        {"context": {"index": 1.7, "name": "writing"}},
+        {"context": {"index": "2", "name": "writing"}},
+        {"context": {"index": True, "name": "writing"}},
+        {"context": {"name": "writing"}},
         {"quality": "high"},
+        {"quality": "0.5"},
         {"quality": float("nan")},
+        {"quality": 1.5},
+        {"quality": -2.0},
+        {"quality": 1.0000001},
+        {"quality": True},
+        {"quality": False},
         {"time_s": float("inf")},
     ])
     def test_invalid_wire_forms_rejected(self, mutation):
@@ -67,6 +77,13 @@ class TestWireRoundTrip:
         doc.update(mutation)
         with pytest.raises(ConfigurationError):
             ContextEvent.from_wire(doc)
+
+    @pytest.mark.parametrize("quality", [0, 0.0, 1, 1.0, 0.5])
+    def test_quality_bounds_accepted(self, quality):
+        doc = make_event().to_wire()
+        doc["quality"] = quality
+        event = ContextEvent.from_wire(doc)
+        assert event.quality == float(quality)
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,8 +1,11 @@
 """Tests for repro.bus.broker — partitions, credits, acks, redelivery."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.appliances.messages import ContextEvent
+from repro.appliances.messages import CheckedWire, ContextEvent
 from repro.bus.broker import BrokerCore, BusConfig, partition_for
 from repro.exceptions import BusError, ConfigurationError
 from repro.types import ContextClass
@@ -58,6 +61,23 @@ class TestPartitionFor:
     def test_spreads_sources(self):
         keys = [f"appliance-{i}" for i in range(64)]
         assert len({partition_for(k, 8) for k in keys}) > 1
+
+    @pytest.mark.parametrize("n_partitions", [1, 2, 8])
+    def test_memo_equals_blake2b_formula(self, n_partitions):
+        for i in range(1000):
+            key = f"appliance-{i}"
+            digest = hashlib.blake2b(key.encode("utf-8"),
+                                     digest_size=8).digest()
+            expected = int.from_bytes(digest, "big") % n_partitions
+            assert partition_for(key, n_partitions) == expected
+            assert partition_for(key, n_partitions) == expected  # cached
+
+    def test_memo_is_bounded(self):
+        maxsize = partition_for.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(maxsize + 500):
+            partition_for(f"bounded-{i}", 2)
+        assert partition_for.cache_info().currsize <= maxsize
 
 
 class TestSubscribePublish:
@@ -118,6 +138,38 @@ class TestSubscribePublish:
                 core.publish({"source": "pen"})
             assert core.log.next_offset == 0
             assert core.n_published == 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("quality", 1.5), ("quality", -2.0), ("quality", True),
+        ("context", {"index": 1.7, "name": "writing"}),
+        ("context", {"index": "2", "name": "writing"}),
+    ])
+    def test_out_of_contract_publish_rejected_and_not_logged(
+            self, tmp_path, field, value):
+        """q outside [0, 1] ∪ {ε} never reaches the log or a consumer."""
+        doc = wire(1)
+        doc[field] = value
+        with BrokerCore(tmp_path, one_partition()) as core:
+            sink = Collector()
+            core.subscribe(TOPIC, sink)
+            with pytest.raises(BusError, match="rejected publish"):
+                core.publish(doc)
+            assert core.log.next_offset == 0
+            assert core.n_published == 0
+            assert sink.frames == []
+        assert all(p.stat().st_size == 0 for p in tmp_path.glob("*.jsonl"))
+
+    def test_frames_carry_the_validated_event_json_safely(self, tmp_path):
+        with BrokerCore(tmp_path, one_partition()) as core:
+            sink = Collector()
+            core.subscribe(TOPIC, sink)
+            core.publish(wire(1))
+            [frame] = sink.frames
+            carried = frame["event"]
+            assert isinstance(carried, CheckedWire)
+            assert carried.event == ContextEvent.from_wire(wire(1))
+            assert carried == wire(1)
+            assert json.loads(json.dumps(frame))["event"] == wire(1)
 
     def test_empty_pattern_rejected(self, tmp_path):
         with BrokerCore(tmp_path, one_partition()) as core:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import socket
 
 import pytest
 
@@ -171,3 +172,31 @@ class TestBusServe:
         assert "bus broker stopped: 50 published" in out
         with EventLog(tmp_path) as log:
             assert len(list(log.read())) == 50
+
+    def test_delivered_tcp_line_is_pinned(self, repro_process, tmp_path):
+        """The exact bytes a subscriber reads for one fixed publish."""
+        proc = repro_process("bus", "serve", "--log-dir", str(tmp_path),
+                             "--listen", "127.0.0.1:0")
+        announce = read_until(proc.stdout, "bus broker on")
+        host, port = announce.split()[3].rsplit(":", 1)
+        event = {"source": "awarepen", "seq": 1, "topic": "context.pen",
+                 "context": {"index": 1, "name": "writing"},
+                 "quality": 0.75, "time_s": 2.5}
+        with socket.create_connection((host, int(port)), timeout=10) as sub, \
+                socket.create_connection((host, int(port)),
+                                         timeout=10) as pub, \
+                sub.makefile("rb") as sub_in, pub.makefile("rb") as pub_in:
+            sub.sendall(b'{"bus":"sub","pattern":"context.pen",'
+                        b'"name":"camera","rid":1}\n')
+            assert json.loads(sub_in.readline())["bus"] == "sub_ok"
+            pub.sendall(json.dumps({"bus": "pub", "event": event,
+                                    "rid": 1}).encode() + b"\n")
+            assert json.loads(pub_in.readline())["bus"] == "pub_ok"
+            line = sub_in.readline()
+        assert line == (
+            b'{"bus": "ev", "sid": 1, "topic": "context.pen", '
+            b'"partition": 0, "index": 0, "offset": 0, "event": '
+            b'{"source": "awarepen", "seq": 1, "topic": "context.pen", '
+            b'"context": {"index": 1, "name": "writing"}, "quality": 0.75, '
+            b'"time_s": 2.5}, "redelivery": false}\n')
+

@@ -6,10 +6,13 @@ to the plain :class:`~repro.appliances.bus.EventBus`, and the broker's
 event log must replay to the same golden trace.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.appliances.awarepen import PEN_TOPIC
+from repro.appliances.messages import ContextEvent
 from repro.bus.replay import (RunMeta, capture_bus_trace, check_replay,
                               dedupe_events, read_log_events)
 from repro.datasets.activities import evaluation_script
@@ -70,3 +73,41 @@ class TestOfficeOnBus:
         diff = check_replay(tmp_path, golden_path)
         assert diff.passed, diff.to_text()
         assert diff.first_diverging_stage is None
+
+
+#: sha256 of the log segment of the seed-7 broker office run below, as
+#: recorded before in-process consumers reused the broker's checked event.
+OFFICE_LOG_SHA256 = (
+    "6a0a212b2ccdbbb84ce8eb4997fbe093ec1d9490daff49a3dc0640d42a03d345")
+
+
+class TestValidateOnce:
+    """Each event is parsed once in the broker; consumers reuse it."""
+
+    def test_one_from_wire_per_published_event(self, tmp_path,
+                                               monkeypatch):
+        parse = ContextEvent.from_wire.__func__
+        calls = []
+
+        def counting(cls, doc):
+            calls.append(doc)
+            return parse(cls, doc)
+
+        monkeypatch.setattr(ContextEvent, "from_wire",
+                            classmethod(counting))
+        run = run_office("broker", log_dir=tmp_path)
+        monkeypatch.undo()
+        n_logged = len(read_log_events(tmp_path))
+        assert run.n_windows == n_logged > 0
+        assert len(calls) == n_logged
+
+    def test_log_segment_byte_identical(self, tmp_path):
+        spec = office_spec(evaluation_script(np.random.default_rng(107),
+                                             blocks=2))
+        run = run_scenario_on(spec, seed=7, transport="broker",
+                              log_dir=tmp_path)
+        assert run.n_windows == 69
+        [segment] = sorted(tmp_path.glob("*.jsonl"))
+        digest = hashlib.sha256(segment.read_bytes()).hexdigest()
+        assert digest == OFFICE_LOG_SHA256
+

@@ -144,6 +144,51 @@ class TestBusClientOverTcp:
             publisher_link.close()
 
 
+class CorruptingLink:
+    """A socket link whose delivered frames carry a negative seq.
+
+    Corrupts each frame after :class:`SocketLink` has read it off TCP
+    and before the client sees it, recording what the client raised.
+    """
+
+    def __init__(self, link):
+        self.link = link
+        self.event_types = []
+        self.errors = []
+
+    def subscribe(self, pattern, name, from_start, on_frame):
+        def corrupt(frame):
+            self.event_types.append(type(frame["event"]))
+            frame["event"]["seq"] = -1
+            try:
+                on_frame(frame)
+            except BusError as exc:
+                self.errors.append(exc)
+        return self.link.subscribe(pattern, name, from_start, corrupt)
+
+    def __getattr__(self, name):
+        return getattr(self.link, name)
+
+
+class TestDeliveryValidation:
+    def test_malformed_frame_off_tcp_raises(self, server):
+        """Frames read off a socket are plain dicts and validated again."""
+        link = CorruptingLink(link_to(server))
+        publisher = link_to(server)
+        client = BusClient(link)
+        try:
+            seen = []
+            client.subscribe(TOPIC, seen.append, name="camera")
+            publisher.publish(event(1).to_wire())
+            assert wait_for(lambda: link.errors)
+            assert link.event_types[0] is dict
+            assert "malformed delivery frame" in str(link.errors[0])
+            assert seen == []
+        finally:
+            client.close()
+            publisher.close()
+
+
 class TestServerLifecycle:
     def test_stop_is_idempotent(self, tmp_path):
         broker = BrokerServer(tmp_path / "log")
