@@ -2,11 +2,9 @@
 
 Open-loop, seeded load generation (:mod:`repro.serving.loadgen`) against
 the in-process :class:`~repro.serving.service.InferenceService`, swept
-across the two knobs that shape a micro-batching deployment:
-
-* the **batch deadline** — how long the first request in a batch may
-  wait for company (latency floor vs batch efficiency);
-* the **worker count** — concurrent batch consumers on the queue.
+across the **worker count** — concurrent batch consumers on the queue.
+Batches are arrival-driven: a free worker dispatches whatever has
+arrived, so there is no wait knob to sweep.
 
 A final overload run shrinks the admission queue until the service
 sheds, demonstrating the ε load-shedding path under honest open-loop
@@ -35,8 +33,7 @@ N_REQUESTS = 300
 RATE_HZ = 2500.0
 SEED = 7
 
-#: The sweep grid: micro-batch flush deadlines x queue workers.
-DEADLINES_S = (0.0005, 0.002, 0.008)
+#: The sweep grid: queue workers.
 WORKERS = (1, 2)
 
 #: Overload run: a deliberately tiny admission queue at a hot rate.
@@ -61,7 +58,6 @@ class ServingReporter:
     def add(self, kind: str, config: ServingConfig, report) -> None:
         row: Dict[str, object] = {
             "kind": kind,
-            "deadline_ms": config.deadline_s * 1e3,
             "max_batch": config.max_batch,
             "n_workers": config.n_workers,
             "queue_capacity": config.queue_capacity,
@@ -109,21 +105,18 @@ def _run(registry, cue_pool, serving_config, n_requests=N_REQUESTS,
         config, cue_pool)
 
 
-@pytest.mark.parametrize("deadline_s", DEADLINES_S)
 @pytest.mark.parametrize("n_workers", WORKERS)
-def test_deadline_worker_sweep(registry, experiment, serving_report,
-                               report, deadline_s, n_workers):
-    """Throughput/latency across the deadline x workers grid.
+def test_worker_sweep(registry, experiment, serving_report, report,
+                      n_workers):
+    """Throughput/latency for each worker count.
 
     The invariants every cell must hold: zero unanswered requests (the
     drain guarantee) and zero sheds (the queue is sized for the load).
     """
-    config = ServingConfig(deadline_s=deadline_s, n_workers=n_workers)
+    config = ServingConfig(n_workers=n_workers)
     out = _run(registry, experiment.material.analysis.cues, config)
     serving_report.add("sweep", config, out)
-    report.row("serving",
-               f"deadline={deadline_s * 1e3:.1f}ms workers={n_workers}",
-               "-",
+    report.row("serving", f"workers={n_workers}", "-",
                f"{out.throughput_rps:.0f} rps, "
                f"p95={out.latency_p95_s * 1e3:.2f}ms")
     assert out.n_unanswered == 0
@@ -136,7 +129,6 @@ def test_overload_sheds_but_answers_everything(registry, experiment,
     """A tiny queue at a hot rate must shed — with ε responses, not
     hangs: every request is still answered immediately."""
     config = ServingConfig(queue_capacity=SHED_QUEUE, max_batch=8,
-                           deadline_s=0.004,
                            policy=DegradationPolicy.REJECT)
     out = _run(registry, experiment.material.analysis.cues, config,
                rate_hz=SHED_RATE_HZ)

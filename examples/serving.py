@@ -53,8 +53,8 @@ def adapted_package(package, classifier, dataset, n_feedback=150):
 async def drive_with_swap(registry, v2_package, classifier, requests,
                           arrivals):
     """Open-loop traffic with a hot-swap fired halfway through."""
-    service = InferenceService(registry, config=ServingConfig(
-        max_batch=16, deadline_s=0.002))
+    service = InferenceService(registry,
+                               config=ServingConfig(max_batch=16))
     swap_at = len(requests) // 2
     async with service:
         start = asyncio.get_running_loop().time()

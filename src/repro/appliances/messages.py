@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import dataclasses
-import math
+import sys
 import threading
 import zlib
 from collections.abc import Mapping
@@ -166,34 +166,38 @@ class ContextEvent:
         if not isinstance(index, int) or isinstance(index, bool):
             raise ConfigurationError(
                 f"event context index must be an int, got {index!r}")
+        name = context.get("name")
+        if not isinstance(name, str) or not name:
+            raise ConfigurationError(
+                f"event context name must be a non-empty string, got "
+                f"{name!r}")
         try:
-            ctx = ContextClass(index=index, name=str(context["name"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            ctx = ContextClass(index=index, name=name)
+        except ValueError as exc:
             raise ConfigurationError(
                 f"bad event context {dict(context)!r}: {exc}") from exc
         quality = doc.get("quality")
         if quality is not None:
-            if (not isinstance(quality, (int, float))
-                    or isinstance(quality, bool)):
+            quality = _finite_float(quality)
+            if quality is None or not 0.0 <= quality <= 1.0:
                 raise ConfigurationError(
-                    f"event quality must be null or a number, got "
-                    f"{quality!r}")
-            quality = float(quality)
-            if not 0.0 <= quality <= 1.0:  # also rejects nan
-                raise ConfigurationError(
-                    f"event quality must lie in [0, 1] or be null "
-                    f"(epsilon), got {quality!r}")
-        try:
-            time_s = float(doc.get("time_s", 0.0))  # type: ignore[arg-type]
-        except (TypeError, ValueError) as exc:
+                    f"event quality must be a number in [0, 1] or null "
+                    f"(epsilon), got {doc.get('quality')!r}")
+        time_s = _finite_float(doc.get("time_s", 0.0))
+        if time_s is None:
             raise ConfigurationError(
-                f"event time_s must be a number, got "
-                f"{doc.get('time_s')!r}") from exc
-        if not math.isfinite(time_s):
-            raise ConfigurationError(
-                f"event time_s must be finite, got {time_s!r}")
+                f"event time_s must be a finite number, got "
+                f"{doc.get('time_s')!r}")
         return cls.create(source=source, topic=topic, context=ctx,
                           quality=quality, time_s=time_s, seq=seq)
+
+
+def _finite_float(value: object) -> Optional[float]:
+    """*value* as a float if it is a finite JSON number (a bool is not)."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # NaN compares False
+        return float(value)
+    return None
 
 
 class CheckedWire(dict):

@@ -116,6 +116,7 @@ class SocketLink:
         self._on_ev: Dict[int, FrameFn] = {}
         self._next_rid = 1
         self._closed = False
+        self.frames_dropped = 0  # torn, or rejected by their handler
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -129,14 +130,16 @@ class SocketLink:
                     continue
                 try:
                     doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # a torn frame on close; drop it
-                if isinstance(doc, dict) and doc.get("bus") == "ev":
-                    handler = self._on_ev.get(doc.get("sid"))
-                    if handler is not None:
-                        handler(doc)
-                else:
-                    self._replies.put(doc)
+                    if isinstance(doc, dict) and doc.get("bus") == "ev":
+                        handler = self._on_ev.get(doc.get("sid"))
+                        if handler is not None:
+                            handler(doc)
+                    else:
+                        self._replies.put(doc)
+                except Exception:  # noqa: BLE001 - drop the frame, keep the link
+                    # A torn frame, or a delivery its handler rejected: if
+                    # the reader died, every later reply would time out.
+                    self.frames_dropped += 1
         except OSError:
             pass  # socket closed under the reader
 
@@ -205,8 +208,10 @@ class SocketLink:
         self._request({"bus": "unsub", "sid": sid})
 
     def stats(self) -> Dict[str, object]:
+        """The broker's counters plus this link's dropped frames."""
         reply = self._request({"bus": "stats"})
-        return reply["stats"]  # type: ignore[return-value]
+        return {**reply["stats"],  # type: ignore[dict-item]
+                "link_frames_dropped": self.frames_dropped}
 
     def kill_partition(self, partition: int) -> int:
         reply = self._request({"bus": "kill", "partition": partition})

@@ -14,12 +14,12 @@ Usage::
                                [--intensities F F ...] [--policy POLICY]
                                [--parallel BACKEND] [--workers N]
     python -m repro serve      [--package PACKAGE.json] [--seed N]
-                               [--listen HOST:PORT] [--max-batch N]
-                               [--deadline-ms F] [--queue-capacity N]
-                               [--policy POLICY] [--max-requests N]
-    python -m repro loadgen    [--connect HOST:PORT] [--n-requests N]
-                               [--rate HZ] [--report BENCH.json]
-                               [--expect-complete]
+                               [--listen HOST:PORT] [--max-requests N]
+                               [SERVICE FLAGS]
+    python -m repro loadgen    [--seed N] [--connect HOST:PORT]
+                               [--n-requests N] [--rate HZ]
+                               [--report BENCH.json] [--expect-complete]
+                               [SERVICE FLAGS]
     python -m repro trace      [--metrics-out TRACE.json] COMMAND [ARGS...]
     python -m repro verify     [--seeds N N ...] [--stage STAGE]
                                [--fuzz-cases N] [--update-golden]
@@ -27,6 +27,9 @@ Usage::
     python -m repro bus        {serve,publish,tail,record,replay,drill}
                                [options...]
     python -m repro scenario   {list,validate,run,record} [options...]
+
+    SERVICE FLAGS (serve, in-process loadgen): [--max-batch N]
+        [--queue-capacity N] [--policy POLICY] [--serve-workers N]
 
 ``experiment`` runs the full pipeline and prints the evaluation summary;
 ``report`` prints the paper-style statistics (populations, threshold,
@@ -218,9 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_serving_knobs(parser: argparse.ArgumentParser) -> None:
     """Service-shape flags shared by ``serve`` and in-process ``loadgen``."""
     parser.add_argument("--max-batch", type=int, default=32,
-                        help="micro-batch flush size")
-    parser.add_argument("--deadline-ms", type=float, default=2.0,
-                        help="micro-batch flush deadline (milliseconds)")
+                        help="most requests per micro-batch (a free "
+                             "worker takes whatever has arrived)")
     parser.add_argument("--queue-capacity", type=int, default=256,
                         help="admission bound; beyond it requests are shed")
     parser.add_argument("--policy", default="reject",
@@ -388,7 +390,6 @@ def _serving_config(args: argparse.Namespace) -> "object":
     from .serving import ServingConfig
     return ServingConfig(queue_capacity=args.queue_capacity,
                          max_batch=args.max_batch,
-                         deadline_s=args.deadline_ms / 1e3,
                          policy=DegradationPolicy(args.policy),
                          n_workers=args.serve_workers)
 

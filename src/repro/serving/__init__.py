@@ -6,7 +6,7 @@ black-box classifier) is published into a versioned
 :class:`~repro.serving.registry.ModelRegistry` and served under
 concurrent load by an asyncio :class:`~repro.serving.service.
 InferenceService` — bounded admission queue with ε load-shedding,
-micro-batch coalescing onto the batched hot paths, a stateful
+arrival-driven micro-batches on the batched hot paths, a stateful
 :class:`~repro.core.degradation.GracefulDegrader` at the response
 boundary, atomic hot-swap of re-calibrated packages and graceful drain.
 
@@ -15,7 +15,8 @@ Seven pieces:
 * :mod:`~repro.serving.protocol` — request/response records + JSONL wire
   format;
 * :mod:`~repro.serving.registry` — versioned models, atomic activation;
-* :mod:`~repro.serving.batching` — bounded-queue micro-batch coalescing;
+* :mod:`~repro.serving.batching` — arrival-driven micro-batching: a free
+  worker takes whatever has been queued, up to ``max_batch``;
 * :mod:`~repro.serving.service` — the asyncio service itself;
 * :mod:`~repro.serving.loadgen` — seeded open-loop load generation
   (:func:`~repro.serving.loadgen.run_loadgen`) feeding
@@ -31,7 +32,7 @@ spans) and bit-identical to the direct pipeline — see
 ``tests/serving/test_equivalence.py``.
 """
 
-from .batching import BatchingConfig, collect_batch, extend_batch
+from .batching import BatchingConfig, extend_batch
 from .loadgen import (LoadgenConfig, LoadgenReport, make_workload,
                       run_loadgen, run_loadgen_socket, summarize)
 from .protocol import ServeRequest, ServeResponse
@@ -42,7 +43,7 @@ from .transport import read_requests, serve_socket, serve_stdio
 __all__ = [
     "ServeRequest", "ServeResponse",
     "ModelRegistry", "VersionedModel",
-    "BatchingConfig", "collect_batch", "extend_batch",
+    "BatchingConfig", "extend_batch",
     "ServingConfig", "InferenceService", "serve_requests",
     "LoadgenConfig", "LoadgenReport", "make_workload", "run_loadgen",
     "run_loadgen_socket", "summarize",

@@ -1,14 +1,13 @@
-"""Micro-batch coalescing over a bounded asyncio admission queue.
+"""Arrival-driven micro-batching over a bounded asyncio admission queue.
 
 The batched hot paths (:meth:`~repro.core.quality.QualityMeasure.
 measure_batch`, the classifiers' vectorized ``predict_indices``) amortize
 the fuzzy-system membership sweep across rows, so serving throughput
-comes from grouping concurrent requests into one numpy call.  The
-coalescing rule is the standard two-knob micro-batcher:
-
-* flush when ``max_batch`` requests have been gathered, or
-* flush when ``deadline_s`` has elapsed since the *first* request of the
-  batch arrived — the latency bound a single quiet request pays.
+comes from grouping concurrent requests into one numpy call.  The rule
+is arrival-driven: a free worker takes whatever has already arrived, up
+to ``max_batch`` requests, and dispatches it at once.  Nothing waits on
+a timer for company, so an idle service adds no latency; under load the
+next batch forms by itself while the previous one computes.
 
 Collection never reorders: the queue is FIFO and a batch is a contiguous
 run of it, which is what keeps the stateful ε-gate's decision order (and
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import time
 from typing import Any, List
 
 from ..exceptions import ConfigurationError
@@ -27,65 +25,30 @@ from ..exceptions import ConfigurationError
 
 @dataclasses.dataclass(frozen=True)
 class BatchingConfig:
-    """Knobs of the micro-batcher.
+    """Shape of the micro-batcher.
 
     Parameters
     ----------
     max_batch:
-        Flush as soon as this many requests are gathered.
-    deadline_s:
-        Flush this long after the batch's first request arrived; ``0``
-        disables coalescing waits entirely (each batch is whatever is
-        already queued, down to a single request).
+        Most requests one batch takes from the queue.
     """
 
     max_batch: int = 32
-    deadline_s: float = 0.002
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}")
-        if self.deadline_s < 0.0:
-            raise ConfigurationError(
-                f"deadline_s must be >= 0, got {self.deadline_s}")
 
 
-async def collect_batch(queue: "asyncio.Queue[Any]",
-                        config: BatchingConfig) -> List[Any]:
-    """Gather the next micro-batch from *queue* (blocks for the first item).
+def extend_batch(queue: "asyncio.Queue[Any]", config: BatchingConfig,
+                 items: List[Any]) -> List[Any]:
+    """Top up a started batch with what is already queued; never waits.
 
-    Returns between 1 and ``config.max_batch`` items in FIFO order.  The
-    deadline clock starts when the first item is taken, so an idle
-    service adds no latency — the first request of a burst waits at most
-    ``deadline_s`` for company.
+    A worker obtains the first item by blocking on the queue and passes
+    it in *items*, which is extended in place, in FIFO order, up to
+    ``config.max_batch`` items, and returned.
     """
-    return await extend_batch(queue, config, [await queue.get()])
-
-
-async def extend_batch(queue: "asyncio.Queue[Any]", config: BatchingConfig,
-                       items: List[Any]) -> List[Any]:
-    """Top up an already-started batch until full or past its deadline.
-
-    The split from :func:`collect_batch` lets a caller that obtained the
-    first item its own way (e.g. a worker polling with a shutdown
-    timeout) still share the coalescing rule.  *items* is extended in
-    place and returned.
-    """
-    deadline = time.perf_counter() + config.deadline_s
-    while len(items) < config.max_batch:
-        # Fast path: take whatever is already queued without yielding.
-        try:
-            items.append(queue.get_nowait())
-            continue
-        except asyncio.QueueEmpty:
-            pass
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0.0:
-            break
-        try:
-            items.append(await asyncio.wait_for(queue.get(),
-                                                timeout=remaining))
-        except asyncio.TimeoutError:
-            break
+    for _ in range(min(config.max_batch - len(items), queue.qsize())):
+        items.append(queue.get_nowait())
     return items

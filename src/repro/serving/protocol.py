@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from typing import Dict, Optional
 
 import numpy as np
@@ -77,6 +78,13 @@ class ServeRequest:
 
     @classmethod
     def from_json(cls, line: str) -> "ServeRequest":
+        """Decode one request line, rejecting what it would have to coerce.
+
+        ``id`` (default 0) and ``class_index`` must be JSON integers, not
+        booleans; ``cues`` a flat list of finite JSON numbers; ``key`` a
+        string.  Anything else raises :class:`ConfigurationError`: a
+        truncated ``1.7`` would get a q for a class the client never sent.
+        """
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -85,23 +93,26 @@ class ServeRequest:
         if not isinstance(doc, dict) or "cues" not in doc:
             raise ConfigurationError(
                 f"request line must be an object with 'cues': {line!r}")
+        request_id = doc.get("id", 0)
         class_index = doc.get("class_index")
         stream_key = doc.get("key")
-        try:
-            request_id = int(doc.get("id", 0))
-            cues = np.asarray(doc["cues"], dtype=float)
-            class_index = (None if class_index is None
-                           else int(class_index))
-            if stream_key is not None and not isinstance(
-                    stream_key, (str, int)):
-                raise ValueError("stream key must be a string or int")
-            stream_key = None if stream_key is None else str(stream_key)
-        except (TypeError, ValueError) as exc:
-            # Non-numeric ids, ragged or non-numeric cue payloads: a
-            # malformed frame must surface as a protocol error, never as
-            # a bare NumPy/int conversion crash.
+        cues = doc["cues"]
+        # json.loads yields exact int/float for numbers; type() excludes bool.
+        if type(request_id) is not int:
+            bad = "id"
+        elif class_index is not None and type(class_index) is not int:
+            bad = "class_index"
+        elif stream_key is not None and type(stream_key) is not str:
+            bad = "key"
+        elif type(cues) is not list or not all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max
+                for v in cues):  # also rejects NaN, ±Infinity, 1e400
+            bad = "cues"
+        else:
+            bad = None
+        if bad is not None:
             raise ConfigurationError(
-                f"request fields are malformed: {line!r}") from exc
+                f"request field {bad!r} is malformed: {line!r}")
         return cls(request_id=request_id, cues=cues,
                    class_index=class_index, stream_key=stream_key)
 

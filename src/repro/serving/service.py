@@ -2,11 +2,11 @@
 
 One :class:`InferenceService` is the serving half of a deployed CQM
 pipeline: requests enter through a *bounded* admission queue, are
-coalesced into micro-batches (:mod:`repro.serving.batching`), hit the
-batched hot paths of the active :class:`~repro.serving.registry.
-VersionedModel` (classifier ``predict_indices`` + CQM ``measure_batch``)
-and leave through the stateful ε-gate
-(:class:`~repro.core.degradation.GracefulDegrader`).
+grouped into micro-batches of whatever has arrived
+(:mod:`repro.serving.batching`), hit the batched hot paths of the
+active :class:`~repro.serving.registry.VersionedModel` (classifier
+``predict_indices`` + CQM ``measure_batch``) and leave through the
+stateful ε-gate (:class:`~repro.core.degradation.GracefulDegrader`).
 
 Design invariants, pinned by ``tests/serving``:
 
@@ -24,9 +24,10 @@ Design invariants, pinned by ``tests/serving``:
   swapping the registry mid-traffic never tears a batch: every response
   is attributable to exactly one package version, and no in-flight
   request is dropped.
-* **Graceful drain** — :meth:`drain` stops admissions, flushes every
-  queued request through the pipeline and joins the workers; nothing
-  in flight is lost.
+* **Graceful drain** — :meth:`drain` stops admissions, waits until
+  every admitted request has resolved (a closed-loop submitter blocked
+  on a full queue included), then stops the workers; nothing in flight
+  is lost.
 """
 
 from __future__ import annotations
@@ -58,24 +59,20 @@ class ServingConfig:
     ----------
     queue_capacity:
         Admission bound; a full queue sheds open-loop submissions.
-    max_batch, deadline_s:
-        Micro-batch flush knobs (see :class:`BatchingConfig`).
+    max_batch:
+        Most requests in one micro-batch (see :class:`BatchingConfig`).
     policy:
         ε-degradation policy of the response gate.
     n_workers:
         Concurrent batch-collecting tasks on the event loop.  With the
         default ``1`` the gate order equals arrival order exactly; with
         more, batches are gated in completion order.
-    poll_s:
-        Idle worker wake-up period used to notice a drain request.
     """
 
     queue_capacity: int = 256
     max_batch: int = 32
-    deadline_s: float = 0.002
     policy: Union[DegradationPolicy, str] = DegradationPolicy.REJECT
     n_workers: int = 1
-    poll_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -84,16 +81,11 @@ class ServingConfig:
         if self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {self.n_workers}")
-        if self.poll_s <= 0.0:
-            raise ConfigurationError(
-                f"poll_s must be > 0, got {self.poll_s}")
-        # Validate the batching knobs eagerly (same rules as the batcher).
-        BatchingConfig(max_batch=self.max_batch, deadline_s=self.deadline_s)
+        BatchingConfig(max_batch=self.max_batch)  # the batcher's own rule
 
     @property
     def batching(self) -> BatchingConfig:
-        return BatchingConfig(max_batch=self.max_batch,
-                              deadline_s=self.deadline_s)
+        return BatchingConfig(max_batch=self.max_batch)
 
 
 class _Pending:
@@ -140,10 +132,12 @@ class InferenceService:
         self._started = False
         self._drained = False
         self._drain_done: Optional["asyncio.Event"] = None
+        self._settled = asyncio.Event()  # set once closed and in_flight == 0
         # Plain counters, kept regardless of the observability switch.
         self.n_submitted = 0
         self.n_shed = 0
         self.n_completed = 0
+        self.n_failed = 0
         self.n_batches = 0
 
     # ------------------------------------------------------------------
@@ -162,7 +156,8 @@ class InferenceService:
     @property
     def in_flight(self) -> int:
         """Admitted requests whose response has not resolved yet."""
-        return self.n_submitted - self.n_shed - self.n_completed
+        return (self.n_submitted - self.n_shed - self.n_completed
+                - self.n_failed)
 
     # ------------------------------------------------------------------
     def start(self) -> "InferenceService":
@@ -234,7 +229,14 @@ class InferenceService:
         self.n_submitted += 1
         obs.inc("serving.requests_total")
         if wait:
-            await self._queue.put(pending)
+            try:
+                await self._queue.put(pending)
+            except asyncio.CancelledError:
+                # Never queued: resolve it, or a drain would wait for it.
+                future.cancel()
+                self.n_failed += 1
+                self._settle_if_drained()
+                raise
         else:
             try:
                 self._queue.put_nowait(pending)
@@ -255,23 +257,27 @@ class InferenceService:
 
     # ------------------------------------------------------------------
     async def _worker(self) -> None:
+        # The only suspension point is the blocking get: a batch is taken
+        # and processed without yielding, and drain cancels the worker
+        # here once nothing is in flight.
         batching = self._config.batching
         while True:
-            try:
-                first = await asyncio.wait_for(self._queue.get(),
-                                               timeout=self._config.poll_s)
-            except asyncio.TimeoutError:
-                if self._closed and self._queue.empty():
-                    return
-                continue
-            batch = await extend_batch(self._queue, batching, [first])
+            batch = extend_batch(self._queue, batching,
+                                 [await self._queue.get()])
+            completed = self.n_completed
             try:
                 self._process_batch(batch)
             except Exception as exc:  # noqa: BLE001 - fail the batch, not the service
                 obs.inc("serving.batch_errors_total")
+                self.n_failed += len(batch) - (self.n_completed - completed)
                 for pending in batch:
                     if not pending.future.done():
                         pending.future.set_exception(exc)
+            self._settle_if_drained()
+
+    def _settle_if_drained(self) -> None:
+        if self._closed and not self.in_flight:
+            self._settled.set()
 
     def _process_batch(self, batch: List[_Pending]) -> None:
         model = self._registry.current()
@@ -319,7 +325,7 @@ class InferenceService:
 
     # ------------------------------------------------------------------
     async def drain(self) -> None:
-        """Stop admissions, flush everything queued, join the workers.
+        """Stop admissions, serve everything admitted, stop the workers.
 
         Idempotent: an explicit ``drain()`` followed by the ``async
         with`` exit (or any repeated call) flushes and counts exactly
@@ -339,8 +345,11 @@ class InferenceService:
         self._drained = True
         self._drain_done = asyncio.Event()
         self._closed = True
-        if self._workers:
-            await asyncio.gather(*self._workers)
+        if self.in_flight:
+            await self._settled.wait()
+        for worker in self._workers:
+            worker.cancel()
+        await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         obs.inc("serving.drains_total")
         self._drain_done.set()

@@ -114,7 +114,6 @@ async def serve_socket(registry: ModelRegistry, host: str, port: int,
     await serve_connections(
         InferenceService(registry, config=config), host, port,
         describe=(f"(batch<={config.max_batch}, "
-                  f"deadline={config.deadline_s * 1e3:.1f}ms, "
                   f"queue={config.queue_capacity})"),
         ready=ready, stop=stop, max_requests=max_requests,
         announce=announce)

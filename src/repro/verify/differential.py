@@ -389,7 +389,7 @@ def _cases_serving(ctx: _SeedContext,
                                      class_index=external))
     responses = serve_requests(
         registry, requests,
-        config=ServingConfig(max_batch=7, deadline_s=0.001))
+        config=ServingConfig(max_batch=7))
 
     quality = experiment.augmented.quality
     direct_q = quality.measure_batch(cues[rows], predicted.astype(float))

@@ -62,6 +62,9 @@ class TestWireRoundTrip:
         {"context": {"index": "2", "name": "writing"}},
         {"context": {"index": True, "name": "writing"}},
         {"context": {"name": "writing"}},
+        {"context": {"index": 1, "name": 7}},
+        {"context": {"index": 1, "name": True}},
+        {"context": {"index": 1}},
         {"quality": "high"},
         {"quality": "0.5"},
         {"quality": float("nan")},
@@ -70,13 +73,26 @@ class TestWireRoundTrip:
         {"quality": 1.0000001},
         {"quality": True},
         {"quality": False},
+        {"quality": 10 ** 400},
         {"time_s": float("inf")},
+        {"time_s": float("nan")},
+        {"time_s": True},
+        {"time_s": "1.5"},
+        {"time_s": None},
+        {"time_s": 10 ** 400},
     ])
     def test_invalid_wire_forms_rejected(self, mutation):
         doc = make_event().to_wire()
         doc.update(mutation)
         with pytest.raises(ConfigurationError):
             ContextEvent.from_wire(doc)
+
+    def test_integer_time_is_read_as_float(self):
+        doc = make_event().to_wire()
+        doc["time_s"] = 3
+        event = ContextEvent.from_wire(doc)
+        assert event.time_s == 3.0
+        assert type(event.time_s) is float
 
     @pytest.mark.parametrize("quality", [0, 0.0, 1, 1.0, 0.5])
     def test_quality_bounds_accepted(self, quality):

@@ -189,6 +189,48 @@ class TestDeliveryValidation:
             publisher.close()
 
 
+    def test_rejected_frame_is_dropped_and_the_link_keeps_reading(
+            self, server):
+        """A delivery its handler rejects (seq -1) is dropped and counted;
+        the reader thread survives, so the next good frame is delivered
+        and control replies still arrive."""
+        link = link_to(server)
+        publisher = link_to(server)
+        client = BusClient(FirstFrameCorrupted(link))
+        try:
+            seen = []
+            client.subscribe(TOPIC, seen.append, name="camera")
+            publisher.publish(event(1).to_wire())
+            assert wait_for(lambda: link.frames_dropped == 1)
+            publisher.publish(event(2).to_wire())
+            assert wait_for(lambda: event(2) in seen)
+            assert link.stats()["link_frames_dropped"] == 1
+        finally:
+            client.close()
+            publisher.close()
+
+
+class FirstFrameCorrupted:
+    """A link whose first delivered frame carries seq -1; the client's
+    rejection propagates into the link's reader, as it would for a
+    malformed frame off the wire."""
+
+    def __init__(self, link):
+        self.link = link
+        self.corrupted = False
+
+    def subscribe(self, pattern, name, from_start, on_frame):
+        def corrupt(frame):
+            if not self.corrupted:
+                self.corrupted = True
+                frame["event"]["seq"] = -1
+            on_frame(frame)
+        return self.link.subscribe(pattern, name, from_start, corrupt)
+
+    def __getattr__(self, name):
+        return getattr(self.link, name)
+
+
 class TestServerLifecycle:
     def test_stop_is_idempotent(self, tmp_path):
         broker = BrokerServer(tmp_path / "log")

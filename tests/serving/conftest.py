@@ -29,6 +29,18 @@ def _isolate_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
+class HeldQueue(asyncio.Queue):
+    """An admission queue whose consumer waits for :attr:`release`."""
+
+    def __init__(self, maxsize):
+        super().__init__(maxsize)
+        self.release = asyncio.Event()
+
+    async def get(self):
+        await self.release.wait()
+        return await super().get()
+
+
 @contextlib.asynccontextmanager
 async def socket_server(registry, config: ServingConfig = None,
                         max_requests: int = None):

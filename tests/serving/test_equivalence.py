@@ -4,8 +4,7 @@ For any fixed request stream, the service's responses must be
 **bit-identical** to the direct pipeline — classifier
 ``predict_indices`` → CQM ``measure_batch`` → a fresh
 :class:`GracefulDegrader` gating in arrival order — for every
-micro-batch deadline/size configuration, and with observability on or
-off.  The invariant holds because the admission queue is FIFO, batches
+micro-batch size and queue depth, and with observability on or off.  The invariant holds because the admission queue is FIFO, batches
 are contiguous runs of it, the gate runs in arrival order, and the
 numpy model compute is row-independent.
 """
@@ -48,20 +47,17 @@ def served_keys(registry, requests, config):
                                             config=config)]
 
 
-#: The batching grid: pathological singles, deadline-bound coalescing,
-#: and everything-in-one-batch.
-CONFIGS = [
-    ServingConfig(max_batch=1, deadline_s=0.0),
-    ServingConfig(max_batch=4, deadline_s=0.0),
-    ServingConfig(max_batch=4, deadline_s=0.001),
-    ServingConfig(max_batch=32, deadline_s=0.002),
-    ServingConfig(max_batch=256, deadline_s=0.01),
-]
+#: The batching grid: pathological singles up to everything-in-one-batch,
+#: each with a roomy queue (the whole stream queues before the first
+#: batch) and a tiny one (backpressure: each batch is whatever the
+#: blocked submitter managed to queue).
+CONFIGS = [ServingConfig(max_batch=b, queue_capacity=q)
+           for b in (1, 4, 32, 256) for q in (3, 256)]
 
 
 class TestServingEquivalence:
     @pytest.mark.parametrize("config", CONFIGS,
-                             ids=[f"b{c.max_batch}-d{c.deadline_s}"
+                             ids=[f"b{c.max_batch}-q{c.queue_capacity}"
                                   for c in CONFIGS])
     def test_every_batching_config_matches_direct(self, registry,
                                                   experiment, package,
@@ -74,7 +70,7 @@ class TestServingEquivalence:
                                                    experiment, package,
                                                    cue_pool):
         requests = make_requests(cue_pool, 60)
-        config = ServingConfig(max_batch=8, deadline_s=0.001)
+        config = ServingConfig(max_batch=8)
         reference = direct_reference(experiment, package, requests)
         plain = served_keys(registry, requests, config)
         with obs.observed(fresh=True):
@@ -89,8 +85,7 @@ class TestServingEquivalence:
         """Order-dependent ε-policies agree too — the gate must see
         decisions in exact arrival order despite batching."""
         requests = make_requests(cue_pool, 60)
-        config = ServingConfig(max_batch=8, deadline_s=0.001,
-                               policy=policy)
+        config = ServingConfig(max_batch=8, policy=policy)
         reference = direct_reference(experiment, package, requests,
                                      policy=policy)
         assert served_keys(registry, requests, config) == reference
@@ -98,13 +93,13 @@ class TestServingEquivalence:
     def test_given_class_indices_match(self, registry, experiment,
                                        package, cue_pool):
         requests = make_requests(cue_pool, 40, with_class_index=True)
-        config = ServingConfig(max_batch=8, deadline_s=0.001)
+        config = ServingConfig(max_batch=8)
         reference = direct_reference(experiment, package, requests)
         assert served_keys(registry, requests, config) == reference
 
     def test_repeated_runs_are_deterministic(self, registry, cue_pool):
         requests = make_requests(cue_pool, 30)
-        config = ServingConfig(max_batch=4, deadline_s=0.0005)
+        config = ServingConfig(max_batch=4)
         first = served_keys(registry, requests, config)
         second = served_keys(registry, requests, config)
         assert first == second

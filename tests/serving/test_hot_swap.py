@@ -38,8 +38,8 @@ def run_with_swaps(registry, requests, swap_points, publish):
     """Stream *requests*, firing ``publish(k)`` at each swap index."""
 
     async def scenario():
-        service = InferenceService(registry, config=ServingConfig(
-            max_batch=4, deadline_s=0.0005))
+        service = InferenceService(registry,
+                                   config=ServingConfig(max_batch=4))
         async with service:
             futures = []
             for k, request in enumerate(requests):
@@ -152,7 +152,7 @@ class TestVersionAttributionUnderConcurrency:
 
         async def scenario():
             service = InferenceService(registry, config=ServingConfig(
-                max_batch=4, deadline_s=0.0005, n_workers=2))
+                max_batch=4, n_workers=2))
             async with service:
                 futures = []
                 for k, request in enumerate(requests):

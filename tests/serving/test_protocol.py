@@ -4,9 +4,12 @@ never a crash."""
 
 import asyncio
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.degradation import GateAction
 from repro.exceptions import ConfigurationError
@@ -44,6 +47,78 @@ class TestServeRequest:
     def test_missing_cues_rejected(self):
         with pytest.raises(ConfigurationError, match="'cues'"):
             ServeRequest.from_json('{"id": 3}')
+
+
+class TestStrictRequestDecoding:
+    """The wire boundary rejects what it used to coerce: a truncated
+    class index would get a q for a class the client never sent."""
+
+    @pytest.mark.parametrize("line", [
+        '{"cues": [0.1, 0.2], "class_index": 1.7}',
+        '{"cues": [0.1, 0.2], "class_index": "2"}',
+        '{"cues": [0.1, 0.2], "class_index": true}',
+        '{"cues": ["0.1", 0.2]}',
+        '{"cues": [true, 0.2]}',
+        '{"cues": [NaN, 0.2]}',
+        '{"cues": [Infinity, 0.2]}',
+        '{"cues": [-Infinity, 0.2]}',
+        '{"cues": [1e400, 0.2]}',
+        '{"cues": [[0.1], [0.2]]}',
+        '{"cues": 0.1}',
+        '{"id": true, "cues": [0.1, 0.2]}',
+        '{"id": 1.0, "cues": [0.1, 0.2]}',
+        '{"cues": [0.1, 0.2], "key": 5}',
+    ], ids=["class-float", "class-str", "class-bool", "cue-str", "cue-bool",
+            "cue-nan", "cue-inf", "cue-neg-inf", "cue-overflow",
+            "cues-nested", "cues-scalar", "id-bool", "id-float", "key-int"])
+    def test_coercible_fields_rejected(self, line):
+        with pytest.raises(ConfigurationError, match="malformed"):
+            ServeRequest.from_json(line)
+
+    @pytest.mark.parametrize("line", [
+        '{"cues": [1, -2.5]}',
+        '{"id": 7, "cues": [0.1], "class_index": 0, "key": "pen"}',
+        '{"id": -3, "cues": [1e300], "class_index": null, "key": null}',
+    ])
+    def test_accepted_documents_round_trip(self, line):
+        request = ServeRequest.from_json(line)
+        canonical = request.to_json()
+        back = ServeRequest.from_json(canonical)
+        assert back.to_json() == canonical
+        assert (back.request_id, back.class_index, back.stream_key) == (
+            request.request_id, request.class_index, request.stream_key)
+        assert np.array_equal(back.cues, request.cues)
+
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(["id", "class_index", "key", "cue"]),
+           value=st.one_of(
+               st.none(), st.booleans(),
+               st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+               st.floats(), st.text(max_size=4),
+               st.lists(st.integers(), max_size=2),
+               st.dictionaries(st.text(max_size=2), st.integers(),
+                               max_size=2)))
+    def test_accepts_exactly_the_documented_domain(self, field, value):
+        doc = {"id": 4, "cues": [0.5, -1.0]}
+        if field == "cue":
+            doc["cues"] = [0.5, value]
+        else:
+            doc[field] = value
+        number = type(value) in (int, float)
+        domain = {
+            "id": type(value) is int,
+            "class_index": value is None or type(value) is int,
+            "key": value is None or type(value) is str,
+            "cue": number and math.isfinite(value),
+        }[field]
+        try:
+            request = ServeRequest.from_json(json.dumps(doc))
+        except ConfigurationError:
+            assert not domain
+        else:
+            assert domain
+            canonical = request.to_json()
+            assert ServeRequest.from_json(canonical).to_json() == canonical
 
 
 class TestServeResponse:
@@ -224,6 +299,25 @@ class TestSocketFuzz:
         assert len(answers) == 1
         assert answers[0]["id"] == 1
 
+    def test_rejected_frame_then_good_frame(self, registry, cue_pool):
+        from .conftest import socket_server
+
+        good = ServeRequest(request_id=2, cues=cue_pool[0],
+                            class_index=1).to_json()
+        bad = good.replace('"class_index": 1', '"class_index": 1.7')
+
+        async def scenario():
+            async with socket_server(registry) as port:
+                return await self._exchange(
+                    port, (bad + "\n" + good + "\n").encode())
+
+        replies = asyncio.run(scenario())
+        assert len(replies) == 2
+        assert replies[0]["error"].startswith("bad request")
+        assert "class_index" in replies[0]["error"]
+        assert replies[1]["id"] == 2
+        assert replies[1]["class_index"] == 1
+
     def test_wrong_dimension_cues_get_error_response(self, registry,
                                                      cue_pool):
         from .conftest import socket_server
@@ -273,8 +367,7 @@ class TestSocketFuzz:
         async def scenario():
             async with socket_server(
                     registry,
-                    config=ServingConfig(max_batch=4,
-                                         deadline_s=0.001)) as port:
+                    config=ServingConfig(max_batch=4)) as port:
                 return await self._exchange(port, payload)
 
         replies = asyncio.run(scenario())

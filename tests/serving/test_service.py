@@ -8,11 +8,11 @@ import pytest
 from repro import observability as obs
 from repro.core.degradation import DegradationPolicy, GateAction
 from repro.exceptions import ConfigurationError, ServiceClosedError
-from repro.serving import (InferenceService, ModelRegistry, ServingConfig,
-                           serve_requests)
+from repro.serving import (BatchingConfig, InferenceService, ModelRegistry,
+                           ServingConfig, extend_batch, serve_requests)
 from repro.serving.service import _batch_compute
 
-from .conftest import make_requests
+from .conftest import HeldQueue, make_requests
 
 
 def run(coro):
@@ -22,17 +22,15 @@ def run(coro):
 class TestServingConfig:
     @pytest.mark.parametrize("kwargs", [{"queue_capacity": 0},
                                         {"n_workers": 0},
-                                        {"poll_s": 0.0},
-                                        {"max_batch": 0},
-                                        {"deadline_s": -1.0}])
+                                        {"max_batch": -1},
+                                        {"max_batch": 0}])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             ServingConfig(**kwargs)
 
     def test_batching_view(self):
-        config = ServingConfig(max_batch=7, deadline_s=0.01)
-        assert config.batching.max_batch == 7
-        assert config.batching.deadline_s == pytest.approx(0.01)
+        config = ServingConfig(max_batch=7)
+        assert config.batching == BatchingConfig(max_batch=7)
 
 
 class TestLifecycle:
@@ -75,7 +73,7 @@ class TestLifecycle:
 
         async def scenario():
             service = InferenceService(registry, config=ServingConfig(
-                max_batch=8, deadline_s=0.001))
+                max_batch=8))
             service.start()
             futures = [await service._enqueue(r, wait=True)
                        for r in requests]
@@ -87,6 +85,97 @@ class TestLifecycle:
         assert service.in_flight == 0
         assert service.n_completed == 40
         assert [r.request_id for r in responses] == list(range(40))
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_drain_serves_a_submitter_blocked_on_a_full_queue(
+            self, registry, cue_pool, n_workers):
+        """A closed-loop submit waiting for queue space when the drain
+        starts was admitted: it is served, not dropped."""
+        requests = make_requests(cue_pool, 3)
+
+        async def scenario():
+            service = InferenceService(registry, config=ServingConfig(
+                queue_capacity=2, max_batch=2, n_workers=n_workers))
+            service.start()
+
+            async def submit_all():
+                return [await service._enqueue(r, wait=True)
+                        for r in requests]
+
+            submitter = asyncio.ensure_future(submit_all())
+            await asyncio.sleep(0)  # two queued, the third blocks on put
+            blocked = (service.queue_depth, service.n_submitted)
+            await asyncio.wait_for(service.drain(), timeout=10)
+            futures = await submitter
+            return blocked, [f.result() for f in futures], service
+
+        blocked, responses, service = run(scenario())
+        assert blocked == (2, 3)
+        assert [r.request_id for r in responses] == [0, 1, 2]
+        assert service.n_completed == 3
+        assert service.in_flight == 0
+
+    def test_drain_after_a_blocked_submitter_is_cancelled(self, registry,
+                                                          cue_pool):
+        """A closed-loop submit cancelled while waiting for queue space
+        was never queued; drain must not wait for it."""
+        async def scenario():
+            service = InferenceService(registry)
+            service._queue = held = HeldQueue(maxsize=1)
+            service.start()
+            first = await service._enqueue(make_requests(cue_pool, 1)[0],
+                                           wait=False)
+            blocked = asyncio.ensure_future(service.submit(cue_pool[1],
+                                                           wait=True))
+            await asyncio.sleep(0)  # the queue is full: it blocks on put
+            assert (service.n_submitted, service.queue_depth) == (2, 1)
+            blocked.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await blocked
+            held.release.set()
+            await asyncio.wait_for(service.drain(), timeout=10)
+            return service, first.result()
+
+        service, first = run(scenario())
+        assert first.request_id == 0
+        assert service.n_completed == 1
+        assert service.in_flight == 0
+
+    def test_burst_leaves_as_contiguous_fifo_batches(self, registry,
+                                                     cue_pool,
+                                                     monkeypatch):
+        from repro.serving import service as service_module
+
+        batches = []
+
+        def recording(queue, config, items):
+            batch = extend_batch(queue, config, items)
+            batches.append([p.request.request_id for p in batch])
+            return batch
+
+        monkeypatch.setattr(service_module, "extend_batch", recording)
+        responses = serve_requests(registry, make_requests(cue_pool, 10),
+                                   config=ServingConfig(max_batch=4))
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert [r.batch_size for r in responses] == [4] * 8 + [2] * 2
+
+    def test_failed_batch_resolves_and_drains(self, registry, cue_pool,
+                                              monkeypatch):
+        def broken(*_args):
+            raise RuntimeError("model fault")
+
+        monkeypatch.setattr("repro.serving.service._batch_compute", broken)
+
+        async def scenario():
+            service = InferenceService(registry).start()
+            with pytest.raises(RuntimeError, match="model fault"):
+                await service.submit(cue_pool[0])
+            await asyncio.wait_for(service.drain(), timeout=10)
+            return service
+
+        service = run(scenario())
+        assert service.n_failed == 1
+        assert service.in_flight == 0
 
 
 class TestDrainIdempotence:
@@ -186,10 +275,10 @@ class TestShedding:
         requests = make_requests(cue_pool, 30)
 
         async def scenario():
-            # Tiny queue, huge deadline: the worker sits on its first
-            # batch while we stuff the queue.
+            # An open-loop _enqueue never yields, so the worker cannot
+            # run while the loop stuffs the tiny queue: 4 fit, 26 shed.
             service = InferenceService(registry, config=ServingConfig(
-                queue_capacity=4, max_batch=64, deadline_s=0.2))
+                queue_capacity=4, max_batch=64))
             async with service:
                 futures = [await service._enqueue(r, wait=False)
                            for r in requests]
@@ -199,7 +288,7 @@ class TestShedding:
         responses, service = run(scenario())
         shed = [r for r in responses if r.shed]
         served = [r for r in responses if not r.shed]
-        assert service.n_shed == len(shed) > 0
+        assert service.n_shed == len(shed) == 26
         assert len(responses) == 30
         for r in shed:
             assert r.is_error_state
@@ -212,8 +301,7 @@ class TestShedding:
 
     def test_wait_true_never_sheds(self, registry, cue_pool):
         requests = make_requests(cue_pool, 30)
-        config = ServingConfig(queue_capacity=2, max_batch=4,
-                               deadline_s=0.0)
+        config = ServingConfig(queue_capacity=2, max_batch=4)
         responses = serve_requests(registry, requests, config=config)
         assert len(responses) == 30
         assert not any(r.shed for r in responses)

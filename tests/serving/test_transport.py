@@ -18,7 +18,7 @@ from repro.serving import framing
 from repro.serving.loadgen import _drive_socket
 from repro.serving.transport import serve_connections
 
-from .conftest import make_requests
+from .conftest import HeldQueue, make_requests
 
 
 class TestStdio:
@@ -89,8 +89,8 @@ class TestRunLoadgen:
     def test_in_process_run_answers_everything(self, registry, cue_pool):
         config = LoadgenConfig(n_requests=50, rate_hz=5000.0, seed=9)
         report = run_loadgen(
-            lambda: InferenceService(registry, config=ServingConfig(
-                max_batch=16, deadline_s=0.001)),
+            lambda: InferenceService(registry,
+                                     config=ServingConfig(max_batch=16)),
             config, cue_pool)
         assert report.n_sent == 50
         assert report.n_unanswered == 0
@@ -110,8 +110,7 @@ class TestSocket:
             ready = asyncio.Event()
             server_task = asyncio.get_running_loop().create_task(
                 serve_socket(registry, "127.0.0.1", 0,
-                             config=ServingConfig(max_batch=8,
-                                                  deadline_s=0.001),
+                             config=ServingConfig(max_batch=8),
                              ready=ready, max_requests=len(requests),
                              announce=announcements.append))
             await asyncio.wait_for(ready.wait(), timeout=5)
@@ -207,8 +206,8 @@ class TestSocketLifecycle:
             seen = []
             asyncio.get_running_loop().set_exception_handler(
                 lambda _loop, context: seen.append(context))
-            service = InferenceService(registry, config=ServingConfig(
-                max_batch=4, deadline_s=0.001))
+            service = InferenceService(registry,
+                                       config=ServingConfig(max_batch=4))
             task, stop, port = await _start_endpoint(service)
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            port)
@@ -240,17 +239,21 @@ class TestSocketLifecycle:
         payload = "".join(r.to_json() + "\n" for r in requests).encode()
 
         async def scenario():
-            # A long batch deadline keeps the requests in flight when
-            # the stop arrives.
-            service = InferenceService(registry, config=ServingConfig(
-                max_batch=64, deadline_s=0.2))
+            # The worker is held off the queue, so every request is
+            # still in flight when the stop arrives.
+            service = InferenceService(registry,
+                                       config=ServingConfig(max_batch=64))
+            service._queue = held = HeldQueue(maxsize=256)
             task, stop, port = await _start_endpoint(service)
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            port)
             writer.write(payload)
             await writer.drain()
             await _until(lambda: service.n_submitted == len(requests))
+            assert service.in_flight == len(requests)
             stop.set()
+            await asyncio.sleep(0)
+            held.release.set()
             lines = []
             while True:
                 line = await asyncio.wait_for(reader.readline(), timeout=5)

@@ -251,13 +251,12 @@ class TestServeCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--serve-workers", "0"], "n_workers must be >= 1"),
         (["--max-batch", "0"], "max_batch must be >= 1"),
-        (["--deadline-ms", "-1"], "deadline_s must be >= 0"),
         (["--queue-capacity", "0"], "queue_capacity must be >= 1"),
         (["--listen", "127.0.0.1:0", "--max-requests", "-3"],
          "--max-requests must be >= 1"),
         (["--listen", "127.0.0.1:0", "--max-requests", "0"],
          "--max-requests must be >= 1"),
-    ], ids=["serve-workers", "max-batch", "deadline-ms", "queue-capacity",
+    ], ids=["serve-workers", "max-batch", "queue-capacity",
             "max-requests-negative", "max-requests-zero"])
     def test_invalid_setting_is_a_usage_error(self, capsys, monkeypatch,
                                               flags, message):
@@ -319,10 +318,9 @@ class TestLoadgenCommand:
         (["--n-requests", "0"], "n_requests must be >= 1"),
         (["--serve-workers", "0"], "n_workers must be >= 1"),
         (["--max-batch", "0"], "max_batch must be >= 1"),
-        (["--deadline-ms", "-1"], "deadline_s must be >= 0"),
         (["--queue-capacity", "0"], "queue_capacity must be >= 1"),
     ], ids=["rate", "n-requests", "serve-workers", "max-batch",
-            "deadline-ms", "queue-capacity"])
+            "queue-capacity"])
     def test_invalid_setting_is_a_usage_error(self, capsys, monkeypatch,
                                               flags, message):
         monkeypatch.setattr("repro.cli._build_registry", _never_built)
